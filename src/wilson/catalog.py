@@ -238,7 +238,7 @@ def _verify_free_decompositions(q: FreeQuadruple) -> None:
 class CatalogClaim:
     id: str
     statement: str
-    relation: str  # equal | not-equal | is-identity | not-identity
+    relation: str  # equal | not-identity
     lhs: Element
     rhs: Element | NodeForm | None = None
 
@@ -248,12 +248,6 @@ def check_claim(claim: CatalogClaim) -> bool:
         if isinstance(claim.rhs, NodeForm):
             return node_equals(claim.lhs, claim.rhs)
         return equals(claim.lhs, claim.rhs)
-    if claim.relation == "not-equal":
-        if isinstance(claim.rhs, NodeForm):
-            return not node_equals(claim.lhs, claim.rhs)
-        return not equals(claim.lhs, claim.rhs)
-    if claim.relation == "is-identity":
-        return is_identity(claim.lhs)
     if claim.relation == "not-identity":
         return not is_identity(claim.lhs)
     raise ValueError(f"unknown relation {claim.relation!r}")

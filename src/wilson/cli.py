@@ -1,9 +1,11 @@
 """Command-line verification suites and data exports.
 
 Exit codes: 0 verdict pass, 1 verdict fail, 2 usage error, 3 engine resource
-error.  All outputs are deterministic: identical configuration gives identical
-bytes, and --threads only documents the requested parallelism (the engine is
-sequential, which the concurrency contract explicitly permits).
+error.  A usage error names what was wrong on stderr; besides argparse's own,
+that covers a bad generating set, a radius over the desk-scale cap, a bad
+state budget and every argument the engine rejects with ``ValueError`` (a
+radius, length or step count out of range, a point outside 1..7).  All
+outputs are deterministic: identical configuration gives identical bytes.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from .growth import (
     free_monoid_check,
     sizes_csv_rows,
 )
-from .words import delta_free_csv_rows, verify_lemma30
-from .wreath import StateBudgetExceeded, act, set_state_budget
+from .words import verify_lemma30
+from .wreath import StateBudgetExceeded, act, set_state_budget, state_budget
 
 MAX_BALL_RADIUS = 12
 MAX_PARTITION_RADIUS = 8
@@ -63,13 +65,12 @@ def _parse_genset(selector: str, allow_free: bool = False):
     if selector == "tilde":
         return make_tilde()
     if selector.startswith("S:"):
-        try:
-            n = int(selector[2:])
-        except ValueError:
-            raise SystemExit(2)
-        if n < 1:
-            raise SystemExit(2)
-        return make_S(n)
+        level = selector[2:]
+        if level.isdecimal() and int(level) >= 1:
+            return make_S(int(level))
+        print(f"bad generating set {selector!r}: the level n of S:n must be an "
+              "integer >= 1", file=sys.stderr)
+        raise SystemExit(2)
     if selector == "free" and allow_free:
         q = make_free_quadruple()
         from .catalog import GeneratingSet
@@ -170,7 +171,7 @@ def cmd_ball(args) -> int:
     genset = _parse_genset(args.genset)
     config = RunConfig("ball", {"genset": genset.name, "radius": args.radius,
                                 "format": args.format})
-    ball = enumerate_ball(genset, args.radius)
+    ball = enumerate_ball(genset, args.radius, with_edges=(args.format == "dot"))
     if args.format == "dot":
         text = "\n".join(config.header_lines()) + "\n" + export_dot(ball)
     else:
@@ -208,7 +209,7 @@ def cmd_growth(args) -> int:
 def cmd_lemma30(args) -> int:
     config = RunConfig("lemma30", {"max_n": args.max_n})
     rep = verify_lemma30(args.max_n)
-    text = _csv(config, ["n", "delta_free_count"], delta_free_csv_rows(args.max_n))
+    text = _csv(config, ["n", "delta_free_count"], enumerate(rep["counts"]))
     _emit(text, args.output)
     return 0 if rep["all_at_most_30"] else 1
 
@@ -293,13 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
         "wreath-recursion growth construction",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1,
-                        help="requested parallelism (recorded; execution is "
-                        "deterministic regardless)")
     common.add_argument("--state-budget", type=int, default=None,
-                        help="override the identity-test state budget")
-    common.add_argument("--seed", type=int, default=None,
-                        help="reserved for randomized drivers; unused by core")
+                        help="override the identity-test state budget (>= 1)")
     common.add_argument("-o", "--output", default=None,
                         help="output path (default stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -360,12 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
-    if args.state_budget is not None:
-        set_state_budget(args.state_budget)
     try:
+        set_state_budget(args.state_budget)
+        state_budget()  # a bad WILSON_STATE_BUDGET fails here, before any work
         return args.func(args)
+    except ValueError as exc:
+        print(f"wilson {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     except StateBudgetExceeded as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3

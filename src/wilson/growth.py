@@ -1,9 +1,11 @@
 """Cayley-ball enumeration, growth statistics and local-isomorphism tests.
 
-Balls use the "at most n factors" convention by default; the "exactly n"
-variant (which can differ when a parity homomorphism exists) is available via
-:func:`ball_sizes_exact_convention`.  All enumeration orders are (length,
-lexicographic), so geodesics and exports are reproducible.
+Every ball query reads one breadth-first search (``_bfs``).  Balls use the
+"at most n factors" convention by default; the "exactly n" variant (which can
+differ when a parity homomorphism exists) is
+:func:`ball_sizes_exact_convention`, an integer walk over (member, parity)
+states on the edges that search records.  All enumeration orders are
+(length, lexicographic), so geodesics and exports are reproducible.
 """
 
 from __future__ import annotations
@@ -103,45 +105,48 @@ class Ball:
         ]
 
 
-def enumerate_ball(genset: GeneratingSet, radius: int, exact: bool = False,
-                   with_edges: bool = True) -> Ball:
-    """Breadth-first closure of the identity under generator multiplication.
+def _bfs(genset: GeneratingSet, radius: int, exact: bool = False,
+         edge_depth: int = 0) -> Ball:
+    """The one breadth-first search; every ball query is read off its result.
 
-    Members are discovered in (length, lexicographic word) order, so the
-    stored geodesic of each member is its lexicographically least shortest
-    word.
+    Members up to depth ``radius`` are found in (length, lexicographic word)
+    order.  Each member of depth < ``edge_depth`` is multiplied by every
+    symbol, and the lookup is recorded as the edge ``(member, symbol) ->
+    target``; a product outside the ball is dropped.  A member's backtrack
+    edge goes to its BFS parent; it is recorded when the member is found and
+    needs no product.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
     syms, inverse_of = _effective_symbols(genset)
     dedup = Deduper(exact=exact)
     members = [Element()]
     geodesics: list[tuple[int, ...]] = [()]
     dedup.add(members[0])
     sizes = [1]
-    frontier: list[int] = [0]
-    for _ in range(radius):
-        new: list[int] = []
-        for mid in frontier:
+    edges: dict[tuple[int, int], int] = {}
+    start = 0
+    for depth in range(max(radius, edge_depth)):
+        grow, link = depth < radius, depth < edge_depth
+        end = len(members)
+        for mid in range(start, end):
             word = geodesics[mid]
             for s, (_, el) in enumerate(syms):
                 if word and inverse_of[word[-1]] == s:
                     continue  # immediate backtrack, never a new geodesic
                 candidate = members[mid] * el
-                if dedup.find(candidate) is None:
-                    nid = dedup.add(candidate)
+                target = dedup.find(candidate)
+                if target is None:
+                    if not grow:
+                        continue
+                    target = dedup.add(candidate)
                     members.append(candidate)
                     geodesics.append(word + (s,))
-                    new.append(nid)
-        frontier = new
-        sizes.append(len(members))
-    edges: dict[tuple[int, int], int] = {}
-    if with_edges:
-        for mid, m in enumerate(members):
-            for s, (_, el) in enumerate(syms):
-                target = dedup.find(m * el)
-                if target is not None:
+                    if depth + 1 < edge_depth:
+                        edges[(target, inverse_of[s])] = mid
+                if link:
                     edges[(mid, s)] = target
+        start = end
+        if grow:
+            sizes.append(len(members))
     return Ball(
         genset=genset,
         radius=radius,
@@ -153,48 +158,57 @@ def enumerate_ball(genset: GeneratingSet, radius: int, exact: bool = False,
     )
 
 
+def enumerate_ball(genset: GeneratingSet, radius: int, exact: bool = False,
+                   with_edges: bool = True) -> Ball:
+    """Breadth-first closure of the identity under generator multiplication.
+
+    Members are discovered in (length, lexicographic word) order, so the
+    stored geodesic of each member is its lexicographically least shortest
+    word.  With ``with_edges``, ``edges`` maps ``(member, symbol)`` to the
+    member reached, for every edge among the members.
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    return _bfs(genset, radius, exact, edge_depth=radius + 1 if with_edges else 0)
+
+
 def ball_sizes(genset: GeneratingSet, rmax: int, exact: bool = False) -> list[int]:
     if rmax < 1:
         raise ValueError("rmax must be >= 1")
-    return enumerate_ball(genset, rmax, exact=exact, with_edges=False).sizes
+    return _bfs(genset, rmax, exact).sizes
 
 
 def ball_sizes_exact_convention(genset: GeneratingSet, rmax: int) -> list[int]:
     """Sizes under the "products of exactly n generators" reading.
 
-    BFS over (element, parity) states: an element counts at radius n iff it
-    has a word of length n, i.e. a word of length <= n of the same parity.
+    An element counts at radius n iff it has a word of length n, i.e. a word
+    of length <= n of the same parity (S = S^-1, so ``s s^-1`` pads a word
+    by two).  The search walks (member, parity) states over the edges the BFS
+    to ``rmax`` records: a path of length d <= rmax never leaves the ball of
+    radius d, and states of depth ``rmax`` are never expanded, so every edge
+    the walk follows is recorded.
     """
     if rmax < 1:
         raise ValueError("rmax must be >= 1")
-    syms, _ = _effective_symbols(genset)
-    dedup = Deduper()
-    members = [Element()]
-    dedup.add(members[0])
-    # min word length per (member, parity); None = unreached
-    dist: list[list[int | None]] = [[0, None]]
-    frontier = [(0, 0)]
-    depth = 0
-    while frontier and depth < rmax:
-        depth += 1
+    ball = _bfs(genset, rmax, edge_depth=rmax)
+    edges = ball.edges
+    symbols = range(len(ball.symbol_names))
+    # reached[p][m]: member m has a word of parity p no longer than the depth
+    reached = [bytearray(ball.size), bytearray(ball.size)]
+    reached[0][0] = 1
+    sizes = [1]
+    frontier = [0]
+    for depth in range(1, rmax + 1):
+        seen = reached[depth % 2]
         new = []
-        for mid, _par in frontier:
-            for _name, el in syms:
-                candidate = members[mid] * el
-                tid = dedup.find(candidate)
-                if tid is None:
-                    tid = dedup.add(candidate)
-                    members.append(candidate)
-                    dist.append([None, None])
-                if dist[tid][depth % 2] is None:
-                    dist[tid][depth % 2] = depth
-                    new.append((tid, depth % 2))
+        for mid in frontier:
+            for s in symbols:
+                target = edges[(mid, s)]
+                if not seen[target]:
+                    seen[target] = 1
+                    new.append(target)
         frontier = new
-    sizes = []
-    for n in range(rmax + 1):
-        sizes.append(
-            sum(1 for d in dist if d[n % 2] is not None and d[n % 2] <= n)
-        )
+        sizes.append(len(new) + (sizes[depth - 2] if depth >= 2 else 0))
     return sizes
 
 

@@ -166,7 +166,3 @@ def geodesic_delta_stats(ball, eta: float) -> list[dict]:
             }
         )
     return rows
-
-
-def delta_free_csv_rows(max_n: int) -> list[tuple[int, int]]:
-    return [(n, count_delta_free(n)) for n in range(max_n + 1)]

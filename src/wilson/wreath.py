@@ -29,11 +29,17 @@ def state_budget() -> int:
     if _BUDGET_OVERRIDE is not None:
         return _BUDGET_OVERRIDE
     raw = os.environ.get("WILSON_STATE_BUDGET")
-    return int(raw) if raw else DEFAULT_STATE_BUDGET
+    if not raw:
+        return DEFAULT_STATE_BUDGET
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"WILSON_STATE_BUDGET must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def set_state_budget(value: int | None) -> None:
     global _BUDGET_OVERRIDE
+    if value is not None and value < 1:
+        raise ValueError(f"the state budget must be >= 1, got {value}")
     _BUDGET_OVERRIDE = value
 
 
@@ -323,23 +329,6 @@ def portrait(e: Element, depth: int):
     if depth == 0:
         return (nf.root, ())
     return (nf.root, tuple(portrait(s, depth - 1) for s in nf.sections))
-
-
-def portrait_json(e: Element, depth: int):
-    """Deterministic JSON-ready rendering of :func:`portrait`."""
-    root, children = portrait(e, depth)
-    return {
-        "root": root.cycles(),
-        "children": [portrait_json_node(c) for c in children],
-    }
-
-
-def portrait_json_node(node):
-    root, children = node
-    return {
-        "root": root.cycles(),
-        "children": [portrait_json_node(c) for c in children],
-    }
 
 
 def clear_caches() -> None:

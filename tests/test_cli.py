@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -22,7 +23,7 @@ def test_verify_all_passes(capsys):
 
 def test_verify_all_deterministic(capsys):
     _, out1, _ = run(capsys, "verify-all")
-    _, out2, _ = run(capsys, "verify-all", "--threads", "4")
+    _, out2, _ = run(capsys, "verify-all")
     assert out1 == out2
 
 
@@ -119,6 +120,56 @@ def test_radius_cap(capsys):
     assert "desk-scale cap" in err
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    (["lemma30", "--max-n", "0"], None, "max_n must be >= 1"),
+    (["lambda", "--steps", "0"], None, "steps must be >= 1"),
+    (["growth", "--radius", "0"], None, "rmax must be >= 1"),
+    (["ball", "--radius", "-1"], None, "radius must be >= 0"),
+    (["free-monoid", "--length", "0"], None, "length must be >= 1"),
+    (["local-iso", "--radius", "0"], None, "radius must be >= 1"),
+    (["act", "--word", "a", "--string", "19"], None, "invalid point '9'"),
+    (["growth", "--radius", "2"], "abc", "WILSON_STATE_BUDGET"),
+    (["growth", "--radius", "2"], "0", "WILSON_STATE_BUDGET"),
+    (["ball", "--genset", "S:x", "--radius", "2"], None, "'S:x'"),
+    (["ball", "--genset", "S:0", "--radius", "2"], None, "'S:0'"),
+    (["verify-all", "--state-budget", "0"], None, "state budget must be >= 1"),
+    (["verify-all", "--state-budget", "-5"], None, "state budget must be >= 1"),
+])
+def test_usage_errors(capsys, monkeypatch, argv, env, message):
+    if env is not None:
+        monkeypatch.setenv("WILSON_STATE_BUDGET", env)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+# sha256 of outputs made by a separate parity search ("exactly n") and a
+# separate edge pass (DOT); the single BFS must reproduce them byte for byte
+PINNED = {
+    ("growth", "--genset", "S:1", "--radius", "10", "--convention", "exact"):
+        "44e12502f6d291076cee48ebe3e060d0cddcc970c4709fe8c53cf1820e6783b7",
+    ("growth", "--genset", "tilde", "--radius", "10", "--convention", "exact"):
+        "3cdd40aa8810b19fd8da73a3b2d822d62a11bebddaecb9b456fc1598d788de8d",
+    ("ball", "--genset", "S:1", "--radius", "6", "--format", "dot"):
+        "175038ea435b2754cade66e559f3873b61c7f843f63a761888ad96f10511192a",
+    ("ball", "--genset", "tilde", "--radius", "7", "--format", "dot"):
+        "a5c477762a85d99e65cf56e0a29b9ce6d67044db56c8323fe058f2c107685db2",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED))
+def test_pinned_output_bytes(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED[argv]
+
+
 def test_bad_genset(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ball", "--genset", "nope", "--radius", "2"])
@@ -133,12 +184,6 @@ def test_state_budget_flag(capsys):
     clear_caches()
     assert code == 3
     assert "resource error" in err
-
-
-def test_threads_validation(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify-all", "--threads", "0"])
-    assert exc.value.code == 2
 
 
 def test_output_file(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import pytest
 
-from wilson.catalog import make_S, make_tilde, swapper_pairs
+from wilson.catalog import GeneratingSet, make_S, make_tilde, swapper_pairs
+from wilson.fano import X, Y, Z
 from wilson.growth import (
     Deduper,
+    _effective_symbols,
     ball_sizes,
     ball_sizes_exact_convention,
     check_submultiplicative,
@@ -15,7 +17,20 @@ from wilson.growth import (
     sizes_csv_rows,
     word_partition,
 )
-from wilson.wreath import Element, equals, is_identity
+from wilson.wreath import Element, equals, is_identity, perm_element
+
+# The plain group A on x, y, z: every word normalizes to one permutation, so
+# Element equality is group equality, and the group is finite with relators
+# of odd length.
+PERMS = GeneratingSet("xyz", tuple((n, perm_element(p))
+                                   for n, p in (("x", X), ("y", Y), ("z", Z))))
+# two symbols of order 4; the search appends their inverses
+ROTS = GeneratingSet("uv", (("u", perm_element(X * Y)), ("v", perm_element(Y * Z))))
+FINITE = pytest.mark.parametrize("genset", [PERMS, ROTS], ids=["xyz", "uv"])
+
+
+def search_symbols(genset):
+    return [el for _, el in _effective_symbols(genset)[0]]
 
 
 def test_deduper_modes_agree():
@@ -66,6 +81,46 @@ def test_ball_sizes_conventions():
     # parity homomorphism to A/... may be absent here; conventions agree
     # whenever some generator product of even length returns to a generator
     assert check_submultiplicative(atmost)
+
+
+@pytest.mark.parametrize("genset", [make_S(1), make_S(2), make_tilde()],
+                         ids=["S:1", "S:2", "tilde"])
+def test_exact_convention_matches_all_words(genset):
+    """Oracle: distinct products among all 3^n words of length exactly n."""
+    sizes = ball_sizes_exact_convention(genset, 6)
+    level = [Element()]
+    for n in range(7):
+        dedup = Deduper()
+        for e in level:
+            if dedup.find(e) is None:
+                dedup.add(e)
+        assert sizes[n] == len(dedup.elements)
+        level = [e * g for e in level for g in genset.elements()]
+
+
+@FINITE
+def test_exact_convention_on_finite_group(genset):
+    level = {Element()}
+    sizes = []
+    for _ in range(15):
+        sizes.append(len(level))
+        level = {e * g for e in level for g in search_symbols(genset)}
+    assert sizes[-1] == 168
+    assert ball_sizes_exact_convention(genset, 14) == sizes
+
+
+@FINITE
+@pytest.mark.parametrize("radius", [5, 6, 8, 9])
+def test_edges_are_all_products_inside_the_ball(genset, radius):
+    """On xyz, radii 6-8 have edges between members of the outer sphere."""
+    ball = enumerate_ball(genset, radius)
+    index = {m: i for i, m in enumerate(ball.members)}
+    expected = {}
+    for i, m in enumerate(ball.members):
+        for s, g in enumerate(search_symbols(genset)):
+            if m * g in index:
+                expected[(i, s)] = index[m * g]
+    assert ball.edges == expected
 
 
 def test_exact_vs_fast_dedup_small():

@@ -10,7 +10,6 @@ from wilson.words import (
     count_delta_free_naive,
     count_delta_occurrences,
     count_reduced,
-    delta_free_csv_rows,
     finite_bound_F_less,
     reduced_words,
     verify_lemma30,
@@ -91,7 +90,7 @@ def test_finite_bound_matches_direct_formula():
 
 
 def test_csv_rows():
-    rows = delta_free_csv_rows(5)
+    rows = list(enumerate(verify_lemma30(5)["counts"]))
     assert rows[0] == (0, 1)
     assert rows[-1] == (5, 15)
 
