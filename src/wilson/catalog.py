@@ -52,13 +52,6 @@ def conjugate(g: Element, h: Element) -> Element:
     return h.inverse() * g * h
 
 
-def _certify_involution(atom: Atom) -> None:
-    el = atom_element(atom)
-    if not is_identity(el * el):
-        raise ValueError(f"{atom.name} is not an involution")
-    atom.involution = True
-
-
 def make_base() -> GeneratingSet:
     """The three root reflections as a generating set of the finite group."""
     return GeneratingSet(
@@ -80,7 +73,7 @@ def make_abar(a: Perm) -> Element:
         atom.sections = (atom_element(atom), perm_element(a), _E, _E, _E, _E, _E)
         _ABAR_ATOMS[a] = atom
         if (a * a).is_identity():
-            _certify_involution(atom)
+            atom.certify_involution()
     return atom_element(atom)
 
 
@@ -121,7 +114,7 @@ def prime_triple(a: Element, b: Element, c: Element, names=("a'", "b'", "c'")):
     pb = Atom(names[1], Y, (b, _E, _E, _E, _E, _E, _E))
     pc = Atom(names[2], Z, (_E, c, _E, _E, _E, _E, _E))
     for atom in (pa, pb, pc):
-        _certify_involution(atom)
+        atom.certify_involution()
     out = (atom_element(pa), atom_element(pb), atom_element(pc))
     _PRIME_CACHE[key] = out
     return out
@@ -138,7 +131,7 @@ def make_S(n: int) -> GeneratingSet:
         b = Atom("S1.b", Y, (perm_element(Y), _E, _E, make_abar(Y), _E, _E, _E))
         c = Atom("S1.c", Z, (make_abar(Z), perm_element(Z), _E, _E, _E, _E, _E))
         for atom in (a, b, c):
-            _certify_involution(atom)
+            atom.certify_involution()
         symbols = (("a", atom_element(a)), ("b", atom_element(b)), ("c", atom_element(c)))
         return GeneratingSet("S:1", symbols, level=1)
     prev = make_S(n - 1)
@@ -158,7 +151,7 @@ def make_tilde() -> GeneratingSet:
     ty.sections = (atom_element(ty), _E, _E, _E, _E, _E, _E)
     tz.sections = (_E, atom_element(tz), _E, _E, _E, _E, _E)
     for atom in (tx, ty, tz):
-        _certify_involution(atom)
+        atom.certify_involution()
     return GeneratingSet(
         "tilde",
         (("x~", atom_element(tx)), ("y~", atom_element(ty)), ("z~", atom_element(tz))),

@@ -37,7 +37,7 @@ from .growth import (
     sizes_csv_rows,
 )
 from .words import verify_lemma30
-from .wreath import StateBudgetExceeded, act, set_state_budget, state_budget
+from .wreath import StateBudgetExceeded, act, set_state_budget
 
 MAX_BALL_RADIUS = 12
 MAX_PARTITION_RADIUS = 8
@@ -358,7 +358,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         set_state_budget(args.state_budget)
-        state_budget()  # a bad WILSON_STATE_BUDGET fails here, before any work
         return args.func(args)
     except ValueError as exc:
         print(f"wilson {args.command}: error: {exc}", file=sys.stderr)

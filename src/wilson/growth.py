@@ -21,15 +21,16 @@ START_SIG_DEPTH = 3
 class Deduper:
     """Canonical-element index: signature-first with exact-equality fallback.
 
-    The signature depth starts shallow and is raised whenever an exact test
-    distinguishes two digest-equal elements; the exact closure test is always
-    the authority, signatures only accelerate.  ``exact=True`` disables
-    signatures entirely (pairwise exact tests, the reference behaviour).
+    The signature depth starts at ``START_SIG_DEPTH`` and is raised whenever
+    an exact test distinguishes two digest-equal elements; the exact closure
+    test is always the authority, signatures only accelerate.  ``exact=True``
+    disables signatures entirely (pairwise exact tests, the reference
+    behaviour).
     """
 
-    def __init__(self, exact: bool = False, start_depth: int = START_SIG_DEPTH):
+    def __init__(self, exact: bool = False):
         self.exact = exact
-        self.depth = start_depth
+        self.depth = START_SIG_DEPTH
         self.elements: list[Element] = []
         self._index: dict[int, list[int]] = {}
 

@@ -1,7 +1,10 @@
 """Self-similar transformations of strings over the 7-letter alphabet.
 
-An :class:`Element` is a normalized word over named recursive atoms and plain
-root permutations.  ``decompose`` turns an element into its node form
+An :class:`Element` is a normalized word whose letters are plain root
+permutations (:class:`~wilson.fano.Perm`) and named recursive atoms
+(:class:`Atom`).  The inverse of an atom is again an atom, built once and
+cached, and an atom certified as an involution is its own inverse, so a word
+never carries exponents.  ``decompose`` turns an element into its node form
 ``<g_1,...,g_7> a`` (root permutation plus seven suffix sections); the exact
 identity test closes a set of canonical words under taking sections, which
 terminates because atom sections are again atoms or permutations, so section
@@ -11,7 +14,6 @@ words never grow.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 from .fano import DEGREE, Perm
@@ -28,12 +30,7 @@ class StateBudgetExceeded(RuntimeError):
 def state_budget() -> int:
     if _BUDGET_OVERRIDE is not None:
         return _BUDGET_OVERRIDE
-    raw = os.environ.get("WILSON_STATE_BUDGET")
-    if not raw:
-        return DEFAULT_STATE_BUDGET
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"WILSON_STATE_BUDGET must be an integer >= 1, got {raw!r}")
-    return int(raw)
+    return DEFAULT_STATE_BUDGET
 
 
 def set_state_budget(value: int | None) -> None:
@@ -47,17 +44,43 @@ class Atom:
     """A named transformation given by a root permutation and 7 section elements.
 
     Sections may refer back to the atom itself (e.g. the recursive copies of
-    the base reflections).  The involution flag is only ever set after the
-    engine has certified ``atom * atom == 1``; normalization relies on it.
+    the base reflections).  ``inverse`` returns the inverse atom, named
+    ``name^-1``; the two atoms are linked to each other, so a word cancels an
+    atom against its inverse.  An atom becomes its own inverse only through
+    ``certify_involution``, which first checks ``atom * atom == 1`` exactly.
     """
 
-    __slots__ = ("name", "root", "sections", "involution")
+    __slots__ = ("name", "root", "sections", "_inverse")
 
-    def __init__(self, name: str, root: Perm, sections=None, involution: bool = False):
+    def __init__(self, name: str, root: Perm, sections=None):
         self.name = name
         self.root = root
         self.sections = sections  # tuple of 7 Elements, may be filled in late
-        self.involution = involution
+        self._inverse: Atom | None = None
+
+    def inverse(self) -> "Atom":
+        """The inverse of ``<g_p> a``: root ``a^-1``, section at q ``(g_{q.a^-1})^-1``."""
+        inv = self._inverse
+        if inv is None:
+            root = self.root.inverse()
+            inv = Atom(self.name + "^-1", root)
+            # link first: the sections of a self-referential atom need ``inv``
+            self._inverse, inv._inverse = inv, self
+            inv.sections = tuple(
+                self.sections[root.apply(q) - 1].inverse() for q in range(1, DEGREE + 1)
+            )
+        return inv
+
+    def certify_involution(self) -> None:
+        """Check ``self * self == 1`` exactly, then make the atom its own inverse."""
+        inv = self._inverse
+        if inv is not None and inv is not self:
+            # words holding the older inverse would never cancel against self
+            raise ValueError(f"{self.name} already has the distinct inverse {inv.name}")
+        el = Element((self,))
+        if not is_identity(el * el):
+            raise ValueError(f"{self.name} is not an involution")
+        self._inverse = self
 
     def __repr__(self):
         return self.name
@@ -75,16 +98,10 @@ def _normalize(letters):
                     out.append(folded)
                 continue
             out.append(letter)
+        elif out and isinstance(out[-1], Atom) and out[-1]._inverse is letter:
+            out.pop()
         else:
-            atom, exp = letter
-            if atom.involution:
-                exp = 1
-            if out and not isinstance(out[-1], Perm):
-                prev_atom, prev_exp = out[-1]
-                if prev_atom is atom and (atom.involution or prev_exp == -exp):
-                    out.pop()
-                    continue
-            out.append((atom, exp))
+            out.append(letter)
     return tuple(out)
 
 
@@ -107,14 +124,7 @@ class Element:
         return Element(self.letters + other.letters)
 
     def inverse(self) -> "Element":
-        inv = []
-        for letter in reversed(self.letters):
-            if isinstance(letter, Perm):
-                inv.append(letter.inverse())
-            else:
-                atom, exp = letter
-                inv.append((atom, -exp))
-        return Element(tuple(inv))
+        return Element(tuple(letter.inverse() for letter in reversed(self.letters)))
 
     def __pow__(self, k: int) -> "Element":
         if k < 0:
@@ -131,14 +141,10 @@ class Element:
     def __repr__(self):
         if not self.letters:
             return "e"
-        parts = []
-        for letter in self.letters:
-            if isinstance(letter, Perm):
-                parts.append(letter.cycles())
-            else:
-                atom, exp = letter
-                parts.append(atom.name if exp == 1 else atom.name + "^-1")
-        return ".".join(parts)
+        return ".".join(
+            letter.cycles() if isinstance(letter, Perm) else letter.name
+            for letter in self.letters
+        )
 
 
 IDENTITY = Element()
@@ -149,7 +155,7 @@ def perm_element(p: Perm) -> Element:
 
 
 def atom_element(a: Atom) -> Element:
-    return Element(((a, 1),))
+    return Element((a,))
 
 
 @dataclass(frozen=True)
@@ -158,23 +164,6 @@ class NodeForm:
 
     root: Perm
     sections: tuple[Element, ...]
-
-
-_TRIVIAL_SECTIONS = tuple(Element() for _ in range(DEGREE))
-
-
-def _letter_node(letter):
-    if isinstance(letter, Perm):
-        return letter, _TRIVIAL_SECTIONS
-    atom, exp = letter
-    if exp == 1:
-        return atom.root, atom.sections
-    # inverse of <g_p> a has root a^-1 and section at q equal to (g_{q.a^-1})^-1
-    root = atom.root.inverse()
-    sections = tuple(
-        atom.sections[root.apply(q) - 1].inverse() for q in range(1, DEGREE + 1)
-    )
-    return root, sections
 
 
 _DECOMPOSE_CACHE: dict[Element, NodeForm] = {}
@@ -188,12 +177,14 @@ def decompose(e: Element) -> NodeForm:
     acc = Perm.identity()
     pieces: list[list] = [[] for _ in range(DEGREE)]
     for letter in e.letters:
-        root, sections = _letter_node(letter)
+        if isinstance(letter, Perm):
+            acc = acc * letter
+            continue
         for p in range(DEGREE):
-            s = sections[acc.apply(p + 1) - 1]
+            s = letter.sections[acc.apply(p + 1) - 1]
             if s.letters:
                 pieces[p].append(s.letters)
-        acc = acc * root
+        acc = acc * letter.root
     secs = tuple(
         Element(tuple(itertools.chain.from_iterable(chunks))) for chunks in pieces
     )

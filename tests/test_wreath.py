@@ -4,9 +4,11 @@ from hypothesis import given, settings, strategies as st
 from wilson.catalog import make_S, make_abar, make_tilde
 from wilson.fano import X, Y, Z, Perm
 from wilson.wreath import (
+    Atom,
     Element,
     StateBudgetExceeded,
     act,
+    atom_element,
     decompose,
     equals,
     is_identity,
@@ -25,7 +27,16 @@ XBAR, YBAR, ZBAR = make_abar(X), make_abar(Y), make_abar(Z)
 S1 = make_S(1)
 TILDE = make_tilde()
 
-ATOMS = [XE, YE, ZE, XBAR, YBAR, ZBAR, *S1.elements(), *TILDE.elements()]
+# bar(u) for the order-4 swapper u and bar(xy) are not involutions, so their
+# inverses are atoms of their own; their roots are trivial, so W (root xy of
+# order 4, which moves the points 3 and 6 of its sections) is what checks that
+# an inverse atom permutes its sections
+U4BAR = make_abar(Perm.from_cycles((1, 2), (4, 5, 7, 6)))
+XYBAR = make_abar(X * Y)
+W = atom_element(Atom("w", X * Y, (E, E, XBAR, E, E, YE, E)))
+
+ATOMS = [XE, YE, ZE, XBAR, YBAR, ZBAR, *S1.elements(), *TILDE.elements(),
+         U4BAR, XYBAR, U4BAR.inverse(), W]
 atom_words = st.lists(st.sampled_from(ATOMS), max_size=6)
 
 
@@ -67,6 +78,34 @@ def test_group_laws():
     assert is_identity(g * g.inverse())
     assert g ** 0 == E
     assert equals(g ** 3, g * g * g)
+
+
+def test_inverse_atom_letters():
+    g = U4BAR * XE * XYBAR
+    assert g.inverse().inverse().letters == g.letters
+    assert (g * g.inverse()).letters == ()
+    assert (g.inverse() * g).letters == ()
+    assert repr(g.inverse()).endswith("^-1")
+    assert repr(U4BAR.inverse()) == repr(U4BAR) + "^-1"
+
+
+def test_certify_involution():
+    s = Atom("s", X, (E,) * 7)
+    s.certify_involution()
+    assert s.inverse() is s
+    assert (atom_element(s) * atom_element(s)).letters == ()
+
+
+def test_certify_rejects_non_involution():
+    with pytest.raises(ValueError, match="not an involution"):
+        Atom("r", X * Y, (E,) * 7).certify_involution()
+
+
+def test_certify_rejects_atom_with_distinct_inverse():
+    s = Atom("s", X, (E,) * 7)
+    s.inverse()
+    with pytest.raises(ValueError, match="distinct inverse"):
+        s.certify_involution()
 
 
 def test_power_of_involution():
