@@ -13,9 +13,6 @@ from .wreath import (
     decompose,
     equals,
     is_identity,
-    order_bounded,
-    portrait,
-    recompose,
     signature,
 )
 from .catalog import (
@@ -37,8 +34,6 @@ from .growth import (
     find_min_n_local_iso,
     free_monoid_check,
     growth_estimates,
-    word_partition,
-    partitions_equal,
 )
 from .bounds import EtaStep, eval_growth_bound, g_eta, lambda_sequence, solve_crossing
 from .words import (

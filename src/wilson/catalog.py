@@ -21,7 +21,6 @@ from .wreath import (
     is_identity,
     node_equals,
     perm_element,
-    recompose,
 )
 
 _E = Element()
@@ -361,7 +360,8 @@ def identity_catalog() -> list[CatalogClaim]:
             "invol-prime",
             "<1,bar(x),1,...,1> a = <1,1,1,x,1,1,1> x",
             "equal",
-            recompose(_nf(one, {2: xb})) * sa,
+            atom_element(Atom("<1,bar(x),1,...,1>", one,
+                              (_E, xb, _E, _E, _E, _E, _E))) * sa,
             pa,
         ),
         CatalogClaim(

@@ -40,7 +40,6 @@ from .words import verify_lemma30
 from .wreath import StateBudgetExceeded, act, set_state_budget
 
 MAX_BALL_RADIUS = 12
-MAX_PARTITION_RADIUS = 8
 
 
 @dataclass
@@ -241,7 +240,7 @@ def cmd_free_monoid(args) -> int:
 
 
 def cmd_local_iso(args) -> int:
-    _check_radius(args.radius, MAX_PARTITION_RADIUS, args.force)
+    _check_radius(args.radius, MAX_BALL_RADIUS, args.force)
     config = RunConfig("local-iso", {"radius": args.radius, "max_n": args.max_n})
     n = find_min_n_local_iso(args.radius, args.max_n)
     payload = {

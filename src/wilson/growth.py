@@ -1,8 +1,9 @@
 """Cayley-ball enumeration, growth statistics and local-isomorphism tests.
 
-Every ball query reads one breadth-first search (``_bfs``).  Balls use the
-"at most n factors" convention by default; the "exactly n" variant (which can
-differ when a parity homomorphism exists) is
+Every ball query reads one breadth-first search (``_bfs``); the
+local-isomorphism search compares the edge maps of two such balls.  Balls use
+the "at most n factors" convention by default; the "exactly n" variant (which
+can differ when a parity homomorphism exists) is
 :func:`ball_sizes_exact_convention`, an integer walk over (member, parity)
 states on the edges that search records.  All enumeration orders are
 (length, lexicographic), so geodesics and exports are reproducible.
@@ -238,72 +239,21 @@ def check_submultiplicative(sizes: list[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class WordPartition:
-    """Reduced words of length <= radius, classed by group equality.
-
-    Class ids are discovery ordinals over the fixed (length, lex) word
-    enumeration, so two partitions over positionally-identified alphabets are
-    isomorphic as labeled balls iff their assignments coincide.
-    """
-
-    radius: int
-    assignment: tuple[tuple[tuple[int, ...], int], ...]
-
-    @property
-    def class_count(self) -> int:
-        return 1 + max(cid for _, cid in self.assignment)
-
-
-def _reduced_index_words(radius: int, k: int = 3):
-    level: list[tuple[int, ...]] = [()]
-    yield ()
-    for _ in range(radius):
-        nxt = []
-        for w in level:
-            for s in range(k):
-                if w and w[-1] == s:
-                    continue
-                nw = w + (s,)
-                nxt.append(nw)
-                yield nw
-        level = nxt
-
-
-def word_partition(genset: GeneratingSet, radius: int) -> WordPartition:
-    if len(genset) != 3:
-        raise ValueError("partitions are defined for 3-symbol generating sets")
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    els = genset.elements()
-    dedup = Deduper()
-    assignment = []
-    values: dict[tuple[int, ...], Element] = {(): Element()}
-    for word in _reduced_index_words(radius):
-        if word:
-            values[word] = values[word[:-1]] * els[word[-1]]
-        e = values[word]
-        cid = dedup.find(e)
-        if cid is None:
-            cid = dedup.add(e)
-        assignment.append((word, cid))
-    return WordPartition(radius, tuple(assignment))
-
-
-def partitions_equal(p: WordPartition, q: WordPartition) -> bool:
-    if p.radius != q.radius:
-        raise ValueError("partition radii differ")
-    return p.assignment == q.assignment
-
-
 def find_min_n_local_iso(radius: int, max_n: int) -> int | None:
-    """Least n with the level-n triple's labeled ball matching the
-    self-similar triple's, or None below max_n."""
+    """Least n <= max_n whose level-n triple has the same labelled ball of
+    the given radius as the self-similar triple, or None.
+
+    Both searches number members in (length, lexicographic) order.  The
+    value of every word of length <= radius is reached along edges out of
+    members of depth < radius, and each such edge is the value of a word of
+    length <= radius, so the labelled balls agree exactly when those edge
+    maps coincide.
+    """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    target = word_partition(make_tilde(), radius)
+    target = _bfs(make_tilde(), radius, edge_depth=radius).edges
     for n in range(1, max_n + 1):
-        if partitions_equal(target, word_partition(make_S(n), radius)):
+        if _bfs(make_S(n), radius, edge_depth=radius).edges == target:
             return n
     return None
 

@@ -147,9 +147,6 @@ class Element:
         )
 
 
-IDENTITY = Element()
-
-
 def perm_element(p: Perm) -> Element:
     return Element((p,))
 
@@ -191,16 +188,6 @@ def decompose(e: Element) -> NodeForm:
     nf = NodeForm(acc, secs)
     _DECOMPOSE_CACHE[e] = nf
     return nf
-
-
-_ANON_COUNTER = itertools.count()
-
-
-def recompose(nf: NodeForm) -> Element:
-    """An element whose decomposition is ``nf``."""
-    if all(not s.letters for s in nf.sections):
-        return perm_element(nf.root)
-    return atom_element(Atom(f"node#{next(_ANON_COUNTER)}", nf.root, nf.sections))
 
 
 _IDENTITY_CACHE: dict[Element, bool] = {}
@@ -298,28 +285,6 @@ def signature(e: Element, depth: int) -> int:
         sig = _SIG_INTERN.setdefault(node, len(_SIG_INTERN))
         _SIG_MEMO[key] = sig
     return sig
-
-
-def order_bounded(e: Element, max_pow: int) -> int | None:
-    """Least k <= max_pow with e^k = 1, or None if the bound is exceeded."""
-    if max_pow < 1:
-        raise ValueError("max_pow must be >= 1")
-    acc = e
-    for k in range(1, max_pow + 1):
-        if is_identity(acc):
-            return k
-        acc = acc * e
-    return None
-
-
-def portrait(e: Element, depth: int):
-    """Tree of root permutations of iterated sections down to ``depth``."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    nf = decompose(e)
-    if depth == 0:
-        return (nf.root, ())
-    return (nf.root, tuple(portrait(s, depth - 1) for s in nf.sections))
 
 
 def clear_caches() -> None:

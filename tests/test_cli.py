@@ -113,11 +113,12 @@ def test_curves(capsys):
 
 
 def test_radius_cap(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["ball", "--radius", "13"])
-    assert exc.value.code == 2
-    _, _, err = ("", *capsys.readouterr())
-    assert "desk-scale cap" in err
+    for command in ("ball", "local-iso"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--radius", "13"])
+        assert exc.value.code == 2
+        _, _, err = ("", *capsys.readouterr())
+        assert "desk-scale cap 12" in err
 
 
 USAGE_ERRORS = {

@@ -13,11 +13,11 @@ from wilson.growth import (
     find_min_n_local_iso,
     free_monoid_check,
     growth_estimates,
-    partitions_equal,
     sizes_csv_rows,
-    word_partition,
 )
 from wilson.wreath import Element, equals, is_identity, perm_element
+
+from partition_oracle import least_levels, word_partition
 
 # The plain group A on x, y, z: every word normalizes to one permutation, so
 # Element equality is group equality, and the group is finite with relators
@@ -143,38 +143,15 @@ def test_check_submultiplicative():
     assert not check_submultiplicative([1, 2, 3, 7])
 
 
-def test_word_partition_basics():
-    p = word_partition(make_S(1), 2)
-    words = [w for w, _ in p.assignment]
-    assert words[0] == ()
-    assert len(words) == 1 + 3 + 6
-    assert p.assignment[0][1] == 0
-    # the three generators are distinct, classes 1..3
-    assert [cid for w, cid in p.assignment if len(w) == 1] == [1, 2, 3]
-    # squares of involutions fall back into class 0
-    squares = [cid for w, cid in p.assignment if len(w) == 2 and w[0] == w[1]]
-    assert squares == []  # reduced words never repeat a letter
-
-
-def test_partitions_equal_radii_guard():
-    p = word_partition(make_S(1), 1)
-    q = word_partition(make_S(1), 2)
-    with pytest.raises(ValueError):
-        partitions_equal(p, q)
-    assert partitions_equal(p, word_partition(make_S(1), 1))
-
-
 def test_local_iso_small_radii():
-    assert find_min_n_local_iso(1, 4) == 1
-    assert find_min_n_local_iso(2, 4) == 1
-    assert find_min_n_local_iso(3, 4) == 1
-    assert find_min_n_local_iso(4, 4) == 2
+    """Against the naive partition: S:1 matches tilde up to radius 3, S:2 from 4."""
+    expected = least_levels(6, 3)
+    assert expected == [1, 1, 1, 2, 2, 2]
+    assert [find_min_n_local_iso(radius, 3) for radius in range(1, 7)] == expected
 
 
 def test_tilde_vs_s1_differ_at_radius_4():
-    tilde = word_partition(make_tilde(), 4)
-    s1 = word_partition(make_S(1), 4)
-    assert not partitions_equal(tilde, s1)
+    assert word_partition(make_tilde(), 4) != word_partition(make_S(1), 4)
 
 
 def test_free_monoid_short():

@@ -13,10 +13,7 @@ from wilson.wreath import (
     equals,
     is_identity,
     node_equals,
-    order_bounded,
     perm_element,
-    portrait,
-    recompose,
     set_state_budget,
     signature,
 )
@@ -136,11 +133,11 @@ def test_is_identity_basic():
 
 
 def test_order_bounded():
-    assert order_bounded(XE, 4) == 2
-    assert order_bounded(E, 1) == 1
+    """Orders of small elements, checked power by power."""
+    assert not is_identity(XE) and is_identity(XE ** 2)
     # derived by the engine: x * bar(y) has order exactly 4
-    assert order_bounded(XE * YBAR, 8) == 4
-    assert order_bounded(XBAR * YBAR * ZBAR, 2) in (1, 2, None)
+    assert [is_identity((XE * YBAR) ** k) for k in range(1, 5)] == [
+        False, False, False, True]
 
 
 def test_equals():
@@ -157,20 +154,14 @@ def test_signature_basics():
 
 
 def test_portrait():
-    root, children = portrait(XBAR, 2)
-    assert root.is_identity()
-    assert children[1][0] == X  # point 2 carries the folded permutation
-    assert children[0][0].is_identity()  # point 1 repeats the recursion
-    assert portrait(E, 2) == (Perm.identity(),
-                              tuple((Perm.identity(), tuple((Perm.identity(), ())
-                                                            for _ in range(7)))
-                                    for _ in range(7)))
-    assert portrait(XE, 3)[0] == X
-
-
-def test_recompose_roundtrip():
-    nf = decompose(S1.elements()[0] * S1.elements()[1])
-    assert node_equals(recompose(nf), nf)
+    """The top of bar(x)'s portrait: a trivial root, the recursion at point 1
+    and the folded permutation x at point 2.  The identity's is trivial."""
+    assert decompose(E).root.is_identity() and set(decompose(E).sections) == {E}
+    nf = decompose(XBAR)
+    assert nf.root.is_identity()
+    assert nf.sections[0] == XBAR
+    assert decompose(nf.sections[1]).root == X
+    assert all(s == E for s in nf.sections[2:])
 
 
 def test_state_budget_error():
