@@ -10,13 +10,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .fano import X, Y, Z, Perm, find_fix_move, find_swappers, psl32
-from .fano import commutator as perm_commutator
+from .fano import (X, Y, Z, Perm, commutator, conjugate, find_fix_move,
+                   find_swappers, psl32)
 from .wreath import (
     Atom,
     Element,
     NodeForm,
     atom_element,
+    decompose,
     equals,
     is_identity,
     node_equals,
@@ -30,7 +31,6 @@ _E = Element()
 class GeneratingSet:
     name: str
     symbols: tuple[tuple[str, Element], ...]
-    level: int = 0
 
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.symbols)
@@ -40,15 +40,6 @@ class GeneratingSet:
 
     def __len__(self):
         return len(self.symbols)
-
-
-def commutator(g: Element, h: Element) -> Element:
-    return g.inverse() * h.inverse() * g * h
-
-
-def conjugate(g: Element, h: Element) -> Element:
-    """g^h = h^-1 g h."""
-    return h.inverse() * g * h
 
 
 def make_base() -> GeneratingSet:
@@ -132,12 +123,12 @@ def make_S(n: int) -> GeneratingSet:
         for atom in (a, b, c):
             atom.certify_involution()
         symbols = (("a", atom_element(a)), ("b", atom_element(b)), ("c", atom_element(c)))
-        return GeneratingSet("S:1", symbols, level=1)
+        return GeneratingSet("S:1", symbols)
     prev = make_S(n - 1)
     pa, pb, pc = prime_triple(
         *prev.elements(), names=(f"S{n}.a", f"S{n}.b", f"S{n}.c")
     )
-    return GeneratingSet(f"S:{n}", (("a", pa), ("b", pb), ("c", pc)), level=n)
+    return GeneratingSet(f"S:{n}", (("a", pa), ("b", pb), ("c", pc)))
 
 
 @functools.cache
@@ -205,8 +196,6 @@ def make_free_quadruple(pair: tuple[Perm, Perm] | None = None) -> FreeQuadruple:
 
 
 def _verify_free_decompositions(q: FreeQuadruple) -> None:
-    from .wreath import decompose
-
     expected = {
         "a": (q.u, q.u), "b": (q.v, q.u), "c": (q.u, q.v), "d": (q.v, q.v),
     }
@@ -297,7 +286,7 @@ def identity_catalog() -> list[CatalogClaim]:
             "fixing 2 and moving 1",
             "equal",
             commutator(xb, conjugate(yb, perm_element(v1))),
-            _nf(one, {2: perm_element(perm_commutator(X, Y))}),
+            _nf(one, {2: perm_element(commutator(X, Y))}),
         ),
         CatalogClaim(
             "extend-cube",
@@ -314,7 +303,7 @@ def identity_catalog() -> list[CatalogClaim]:
             "[(x'y'z'y')^3, (y'z'x'z')^3] = <1,...,1,[zx,xy]>",
             "equal",
             v_el,
-            _nf(one, {7: perm_element(perm_commutator(Z * X, X * Y))}),
+            _nf(one, {7: perm_element(commutator(Z * X, X * Y))}),
         ),
         CatalogClaim(
             "extend-comm-nontrivial",

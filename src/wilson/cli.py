@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .bounds import curve_rows, lambda_sequence
 from .catalog import (
+    GeneratingSet,
     make_S,
     make_base,
     make_free_quadruple,
@@ -37,7 +38,7 @@ from .growth import (
     sizes_csv_rows,
 )
 from .words import verify_lemma30
-from .wreath import StateBudgetExceeded, act, set_state_budget
+from .wreath import Element, StateBudgetExceeded, act, set_state_budget
 
 MAX_BALL_RADIUS = 12
 
@@ -72,8 +73,6 @@ def _parse_genset(selector: str, allow_free: bool = False):
         raise SystemExit(2)
     if selector == "free" and allow_free:
         q = make_free_quadruple()
-        from .catalog import GeneratingSet
-
         return GeneratingSet(
             "free", (("a", q.a), ("b", q.b), ("c", q.c), ("d", q.d))
         )
@@ -170,14 +169,13 @@ def cmd_ball(args) -> int:
     genset = _parse_genset(args.genset)
     config = RunConfig("ball", {"genset": genset.name, "radius": args.radius,
                                 "format": args.format})
-    ball = enumerate_ball(genset, args.radius, with_edges=(args.format == "dot"))
     if args.format == "dot":
-        text = "\n".join(config.header_lines()) + "\n" + export_dot(ball)
+        text = "\n".join(config.header_lines()) + "\n" + export_dot(genset, args.radius)
     else:
         text = _csv(
             config,
             ["radius", "ball_size", "sphere_size", "estimate_root", "estimate_ratio"],
-            sizes_csv_rows(ball.sizes),
+            sizes_csv_rows(enumerate_ball(genset, args.radius).sizes),
         )
     _emit(text, args.output)
     return 0
@@ -263,8 +261,6 @@ def cmd_act(args) -> int:
             return 2
         e = table[token] if e is None else e * table[token]
     if e is None:
-        from .wreath import Element
-
         e = Element()
     _emit(act(e, args.string) + "\n", args.output)
     return 0

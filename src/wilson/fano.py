@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import TypeVar
 
 DEGREE = 7
 POINTS = tuple(range(1, DEGREE + 1))
@@ -84,12 +85,18 @@ class Perm:
 _IDENTITY = Perm(POINTS)
 
 
-def commutator(g: Perm, h: Perm) -> Perm:
+G = TypeVar("G")
+
+
+def commutator(g: G, h: G) -> G:
+    """[g, h] = g^-1 h^-1 g h, for any two values with ``*`` and
+    ``.inverse()``: two ``Perm``s or two wreath ``Element``s."""
     return g.inverse() * h.inverse() * g * h
 
 
-def conjugate(g: Perm, h: Perm) -> Perm:
-    """g^h = h^-1 g h (right conjugation)."""
+def conjugate(g: G, h: G) -> G:
+    """g^h = h^-1 g h (right conjugation), for two ``Perm``s or two wreath
+    ``Element``s."""
     return h.inverse() * g * h
 
 
@@ -101,9 +108,6 @@ class PermGroup:
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, p: Perm) -> bool:
-        return p in self.elements
 
     def sorted_elements(self) -> list[Perm]:
         return sorted(self.elements)

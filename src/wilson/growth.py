@@ -1,17 +1,20 @@
 """Cayley-ball enumeration, growth statistics and local-isomorphism tests.
 
-Every ball query reads one breadth-first search (``_bfs``); the
-local-isomorphism search compares the edge maps of two such balls.  Balls use
-the "at most n factors" convention by default; the "exactly n" variant (which
-can differ when a parity homomorphism exists) is
-:func:`ball_sizes_exact_convention`, an integer walk over (member, parity)
-states on the edges that search records.  All enumeration orders are
-(length, lexicographic), so geodesics and exports are reproducible.
+Every ball query reads one breadth-first search, the generator :func:`balls`,
+which grows one :class:`Ball` in place, radius by radius.  A ball's edges are
+a flat ``array``: ``edges[m * k + s]`` is the member reached from member ``m``
+by symbol ``s`` (of ``k``), or -1 while unknown.  Balls use the "at most n
+factors" convention by default; the "exactly n" variant (which can differ when
+a parity homomorphism exists) is :func:`ball_sizes_exact_convention`, an
+integer walk over (member, parity) states on those edges.  All enumeration
+orders are (length, lexicographic), so geodesics and exports are reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from typing import Iterator
 
 from .catalog import GeneratingSet, make_S, make_free_quadruple, make_tilde
 from .wreath import Element, equals, is_identity, signature
@@ -24,33 +27,22 @@ class Deduper:
 
     The signature depth starts at ``START_SIG_DEPTH`` and is raised whenever
     an exact test distinguishes two digest-equal elements; the exact closure
-    test is always the authority, signatures only accelerate.  ``exact=True``
-    disables signatures entirely (pairwise exact tests, the reference
-    behaviour).
+    test is always the authority, signatures only accelerate.
     """
 
-    def __init__(self, exact: bool = False):
-        self.exact = exact
+    def __init__(self):
         self.depth = START_SIG_DEPTH
         self.elements: list[Element] = []
         self._index: dict[int, list[int]] = {}
 
     def find(self, e: Element) -> int | None:
-        if self.exact:
-            for i, m in enumerate(self.elements):
-                if equals(e, m):
-                    return i
-            return None
         while True:
             bucket = self._index.get(signature(e, self.depth))
-            collided = False
-            if bucket:
-                for i in bucket:
-                    if equals(e, self.elements[i]):
-                        return i
-                collided = True
-            if not collided:
+            if not bucket:
                 return None
+            for i in bucket:
+                if equals(e, self.elements[i]):
+                    return i
             # digest-equal but exactly distinct: refine and retry
             self.depth += 1
             self._rebuild()
@@ -58,8 +50,7 @@ class Deduper:
     def add(self, e: Element) -> int:
         idx = len(self.elements)
         self.elements.append(e)
-        if not self.exact:
-            self._index.setdefault(signature(e, self.depth), []).append(idx)
+        self._index.setdefault(signature(e, self.depth), []).append(idx)
         return idx
 
     def _rebuild(self) -> None:
@@ -94,8 +85,8 @@ class Ball:
     members: list[Element]
     geodesics: list[tuple[int, ...]]
     sizes: list[int]  # cumulative ball sizes, index = radius
-    edges: dict[tuple[int, int], int] = field(default_factory=dict)
-    symbol_names: tuple[str, ...] = ()
+    edges: array  # edges[m * k + s]: member reached from m by symbol s, or -1
+    symbol_names: tuple[str, ...]
 
     @property
     def size(self) -> int:
@@ -107,77 +98,60 @@ class Ball:
         ]
 
 
-def _bfs(genset: GeneratingSet, radius: int, exact: bool = False,
-         edge_depth: int = 0) -> Ball:
-    """The one breadth-first search; every ball query is read off its result.
+def balls(genset: GeneratingSet) -> Iterator[Ball]:
+    """The one breadth-first search: yield the ball of radius 0, 1, 2, ...
 
-    Members up to depth ``radius`` are found in (length, lexicographic word)
-    order.  Each member of depth < ``edge_depth`` is multiplied by every
-    symbol, and the lookup is recorded as the edge ``(member, symbol) ->
-    target``; a product outside the ball is dropped.  A member's backtrack
-    edge goes to its BFS parent; it is recorded when the member is found and
-    needs no product.
+    The same :class:`Ball` is yielded each time and grows in place when the
+    generator resumes.  Members are found in (length, lexicographic word)
+    order, so each geodesic is the least shortest word.  At radius r the row
+    of ``edges`` of every member of depth < r is complete; a member of depth
+    r knows only its backtrack entry (its BFS parent), set when it is found.
     """
     syms, inverse_of = _effective_symbols(genset)
-    dedup = Deduper(exact=exact)
-    members = [Element()]
-    geodesics: list[tuple[int, ...]] = [()]
-    dedup.add(members[0])
-    sizes = [1]
-    edges: dict[tuple[int, int], int] = {}
+    k = len(syms)
+    blank = array("i", [-1]) * k
+    identity = Element()
+    dedup = Deduper()
+    dedup.add(identity)
+    ball = Ball(genset, 0, [identity], [()], [1], array("i", blank),
+                tuple(name for name, _ in syms))
+    members, geodesics, edges = ball.members, ball.geodesics, ball.edges
     start = 0
-    for depth in range(max(radius, edge_depth)):
-        grow, link = depth < radius, depth < edge_depth
+    while True:
+        yield ball
         end = len(members)
         for mid in range(start, end):
-            word = geodesics[mid]
+            row = mid * k
             for s, (_, el) in enumerate(syms):
-                if word and inverse_of[word[-1]] == s:
-                    continue  # immediate backtrack, never a new geodesic
+                if edges[row + s] >= 0:
+                    continue  # the backtrack entry, never a new geodesic
                 candidate = members[mid] * el
                 target = dedup.find(candidate)
                 if target is None:
-                    if not grow:
-                        continue
                     target = dedup.add(candidate)
                     members.append(candidate)
-                    geodesics.append(word + (s,))
-                    if depth + 1 < edge_depth:
-                        edges[(target, inverse_of[s])] = mid
-                if link:
-                    edges[(mid, s)] = target
+                    geodesics.append(geodesics[mid] + (s,))
+                    edges.extend(blank)
+                    edges[target * k + inverse_of[s]] = mid
+                edges[row + s] = target
         start = end
-        if grow:
-            sizes.append(len(members))
-    return Ball(
-        genset=genset,
-        radius=radius,
-        members=members,
-        geodesics=geodesics,
-        sizes=sizes,
-        edges=edges,
-        symbol_names=tuple(name for name, _ in syms),
-    )
+        ball.radius += 1
+        ball.sizes.append(len(members))
 
 
-def enumerate_ball(genset: GeneratingSet, radius: int, exact: bool = False,
-                   with_edges: bool = True) -> Ball:
-    """Breadth-first closure of the identity under generator multiplication.
-
-    Members are discovered in (length, lexicographic word) order, so the
-    stored geodesic of each member is its lexicographically least shortest
-    word.  With ``with_edges``, ``edges`` maps ``(member, symbol)`` to the
-    member reached, for every edge among the members.
-    """
+def enumerate_ball(genset: GeneratingSet, radius: int) -> Ball:
+    """The ball of the given radius, read off :func:`balls`."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    return _bfs(genset, radius, exact, edge_depth=radius + 1 if with_edges else 0)
+    for ball in balls(genset):
+        if ball.radius == radius:
+            return ball
 
 
-def ball_sizes(genset: GeneratingSet, rmax: int, exact: bool = False) -> list[int]:
+def ball_sizes(genset: GeneratingSet, rmax: int) -> list[int]:
     if rmax < 1:
         raise ValueError("rmax must be >= 1")
-    return _bfs(genset, rmax, exact).sizes
+    return enumerate_ball(genset, rmax).sizes
 
 
 def ball_sizes_exact_convention(genset: GeneratingSet, rmax: int) -> list[int]:
@@ -185,16 +159,16 @@ def ball_sizes_exact_convention(genset: GeneratingSet, rmax: int) -> list[int]:
 
     An element counts at radius n iff it has a word of length n, i.e. a word
     of length <= n of the same parity (S = S^-1, so ``s s^-1`` pads a word
-    by two).  The search walks (member, parity) states over the edges the BFS
-    to ``rmax`` records: a path of length d <= rmax never leaves the ball of
-    radius d, and states of depth ``rmax`` are never expanded, so every edge
-    the walk follows is recorded.
+    by two).  The search walks (member, parity) states over the rows of the
+    ball of radius ``rmax``: a path of length d <= rmax never leaves the
+    ball of radius d, and states of depth ``rmax`` are never expanded, so
+    every row the walk reads is complete.
     """
     if rmax < 1:
         raise ValueError("rmax must be >= 1")
-    ball = _bfs(genset, rmax, edge_depth=rmax)
+    ball = enumerate_ball(genset, rmax)
     edges = ball.edges
-    symbols = range(len(ball.symbol_names))
+    k = len(ball.symbol_names)
     # reached[p][m]: member m has a word of parity p no longer than the depth
     reached = [bytearray(ball.size), bytearray(ball.size)]
     reached[0][0] = 1
@@ -204,8 +178,7 @@ def ball_sizes_exact_convention(genset: GeneratingSet, rmax: int) -> list[int]:
         seen = reached[depth % 2]
         new = []
         for mid in frontier:
-            for s in symbols:
-                target = edges[(mid, s)]
+            for target in edges[mid * k:(mid + 1) * k]:
                 if not seen[target]:
                     seen[target] = 1
                     new.append(target)
@@ -246,15 +219,21 @@ def find_min_n_local_iso(radius: int, max_n: int) -> int | None:
     Both searches number members in (length, lexicographic) order.  The
     value of every word of length <= radius is reached along edges out of
     members of depth < radius, and each such edge is the value of a word of
-    length <= radius, so the labelled balls agree exactly when those edge
-    maps coincide.
+    length <= radius, so the labelled balls agree exactly when those rows
+    coincide; a level is dropped at the first radius where they differ.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    target = _bfs(make_tilde(), radius, edge_depth=radius).edges
+    target = enumerate_ball(make_tilde(), radius).edges
     for n in range(1, max_n + 1):
-        if _bfs(make_S(n), radius, edge_depth=radius).edges == target:
-            return n
+        for ball in balls(make_S(n)):
+            if ball.radius == 0:
+                continue
+            known = len(ball.symbol_names) * ball.sizes[-2]  # the complete rows
+            if ball.edges[:known] != target[:known]:
+                break
+            if ball.radius == radius:
+                return n
     return None
 
 
@@ -325,19 +304,25 @@ def free_monoid_check(length: int, pair=None, refine_len: int = 3) -> dict:
     }
 
 
-def export_dot(ball: Ball) -> str:
-    """Deterministic DOT rendering; involution edges are drawn once."""
+def export_dot(genset: GeneratingSet, radius: int) -> str:
+    """Deterministic DOT rendering of the ball of the given radius; involution
+    edges are drawn once.  Its edges are the complete rows, read off the ball
+    of radius ``radius + 1``."""
+    ball = enumerate_ball(genset, radius + 1)
+    size = ball.sizes[radius]
+    k = len(ball.symbol_names)
     lines = ["graph ball {"]
-    for mid, word in enumerate(ball.geodesics):
+    for mid, word in enumerate(ball.geodesics[:size]):
         label = "e" if not word else " ".join(ball.symbol_names[s] for s in word)
         lines.append(f'  v{mid} [label="{label}"];')
     seen = set()
-    for (mid, s), target in sorted(ball.edges.items()):
-        key = (min(mid, target), max(mid, target), s)
-        if key in seen:
-            continue
-        seen.add(key)
-        lines.append(f'  v{mid} -- v{target} [label="{ball.symbol_names[s]}"];')
+    for mid in range(size):
+        for s, target in enumerate(ball.edges[mid * k:(mid + 1) * k]):
+            key = (min(mid, target), max(mid, target), s)
+            if target >= size or key in seen:
+                continue
+            seen.add(key)
+            lines.append(f'  v{mid} -- v{target} [label="{ball.symbol_names[s]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -32,6 +32,13 @@ def word_partition(genset, radius: int) -> list[int]:
     return classes
 
 
+def pairwise_ball_sizes(genset, radius: int) -> list[int]:
+    """Ball sizes for radius 0..radius: the classes among reduced words of
+    length <= r (there are 3 * 2^r - 2 of them) are the elements of the ball."""
+    classes = word_partition(genset, radius)
+    return [max(classes[:3 * 2**r - 2]) + 1 for r in range(radius + 1)]
+
+
 def least_levels(max_radius: int, max_n: int) -> list[int | None]:
     """For each radius 1..max_radius, the least n <= max_n whose level-n triple
     has the same labelled ball as the self-similar triple, or None."""

@@ -90,7 +90,6 @@ def test_prime_triple_rejects_non_involutions():
 
 def test_make_S():
     s1 = make_S(1)
-    assert s1.level == 1
     for e in s1.elements():
         assert is_identity(e * e)
         assert not is_identity(e)

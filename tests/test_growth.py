@@ -7,6 +7,7 @@ from wilson.growth import (
     _effective_symbols,
     ball_sizes,
     ball_sizes_exact_convention,
+    balls,
     check_submultiplicative,
     enumerate_ball,
     export_dot,
@@ -17,7 +18,7 @@ from wilson.growth import (
 )
 from wilson.wreath import Element, equals, is_identity, perm_element
 
-from partition_oracle import least_levels, word_partition
+from partition_oracle import least_levels, pairwise_ball_sizes, word_partition
 
 # The plain group A on x, y, z: every word normalizes to one permutation, so
 # Element equality is group equality, and the group is finite with relators
@@ -37,14 +38,14 @@ def test_deduper_modes_agree():
     s1 = make_S(1)
     a, b, c = s1.elements()
     pool = [Element(), a, b, c, a * b, b * a, a * b * c, a * b, Element()]
-    fast, exact = Deduper(), Deduper(exact=True)
+    dedup = Deduper()
     for e in pool:
-        fi, xi = fast.find(e), exact.find(e)
-        assert (fi is None) == (xi is None)
-        if fi is None:
-            assert fast.add(e) == exact.add(e)
-        else:
-            assert fi == xi
+        pairwise = next((i for i, m in enumerate(dedup.elements) if equals(e, m)), None)
+        found = dedup.find(e)
+        assert found == pairwise
+        if found is None:
+            dedup.add(e)
+    assert len(dedup.elements) == 7
 
 
 def test_ball_radius_zero_and_one():
@@ -112,20 +113,44 @@ def test_exact_convention_on_finite_group(genset):
 @FINITE
 @pytest.mark.parametrize("radius", [5, 6, 8, 9])
 def test_edges_are_all_products_inside_the_ball(genset, radius):
-    """On xyz, radii 6-8 have edges between members of the outer sphere."""
-    ball = enumerate_ball(genset, radius)
+    """The rows of the ball of radius R, read from the ball of radius R + 1;
+    on xyz, radii 6-8 have edges between members of the outer sphere."""
+    ball = enumerate_ball(genset, radius + 1)
+    size = ball.sizes[radius]
     index = {m: i for i, m in enumerate(ball.members)}
-    expected = {}
-    for i, m in enumerate(ball.members):
-        for s, g in enumerate(search_symbols(genset)):
-            if m * g in index:
-                expected[(i, s)] = index[m * g]
-    assert ball.edges == expected
+    symbols = search_symbols(genset)
+    rows = ball.edges[:len(symbols) * size]
+    assert list(rows) == [index[m * g] for m in ball.members[:size] for g in symbols]
 
 
 def test_exact_vs_fast_dedup_small():
+    """Ball sizes against the naive pairwise partition of reduced words."""
     s1 = make_S(1)
-    assert ball_sizes(s1, 4) == ball_sizes(s1, 4, exact=True)
+    assert ball_sizes(s1, 4) == pairwise_ball_sizes(s1, 4)
+
+
+@pytest.mark.parametrize("genset", [make_S(1), make_tilde(), PERMS, ROTS],
+                         ids=["S:1", "tilde", "xyz", "uv"])
+def test_balls_grow_in_place(genset):
+    """The ball yielded at radius r is the ball a fresh search stops at."""
+    symbols = search_symbols(genset)
+    inverse_of = _effective_symbols(genset)[1]
+    k = len(symbols)
+    for ball, radius in zip(balls(genset), range(7)):
+        fresh = enumerate_ball(genset, radius)
+        assert ball.radius == radius
+        assert ball.sizes == fresh.sizes
+        assert ball.geodesics == fresh.geodesics
+        complete = k * (ball.sizes[radius - 1] if radius else 0)
+        assert ball.edges[:complete] == fresh.edges[:complete]
+        assert -1 not in ball.edges[:complete]
+        parent = {word: i for i, word in enumerate(ball.geodesics)}
+        for mid in range(complete // k, ball.size):
+            word = ball.geodesics[mid]
+            row = [-1] * k
+            if word:
+                row[inverse_of[word[-1]]] = parent[word[:-1]]
+            assert list(ball.edges[mid * k:(mid + 1) * k]) == row
 
 
 def test_growth_estimates_rows():
@@ -169,8 +194,7 @@ def test_free_monoid_all_pairs_short():
 
 
 def test_export_dot():
-    ball = enumerate_ball(make_S(1), 1)
-    dot = export_dot(ball)
+    dot = export_dot(make_S(1), 1)
     assert dot.startswith("graph ball {")
     assert dot.endswith("}\n")
     assert 'v0 [label="e"];' in dot
