@@ -45,10 +45,13 @@ class Perm:
         return Perm(tuple(other.images[i - 1] for i in self.images))
 
     def inverse(self) -> "Perm":
-        inv = [0] * DEGREE
-        for i, v in enumerate(self.images):
-            inv[v - 1] = i + 1
-        return Perm(tuple(inv))
+        inv = _INVERSES.get(self)
+        if inv is None:
+            images = [0] * DEGREE
+            for i, v in enumerate(self.images):
+                images[v - 1] = i + 1
+            inv = _INVERSES[self] = Perm(tuple(images))
+        return inv
 
     def is_identity(self) -> bool:
         return self.images == _IDENTITY.images
@@ -83,6 +86,8 @@ class Perm:
 
 
 _IDENTITY = Perm(POINTS)
+# memo of Perm.inverse; it holds at most the 5040 permutations of 7 points
+_INVERSES: dict[Perm, Perm] = {}
 
 
 G = TypeVar("G")

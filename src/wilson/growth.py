@@ -221,16 +221,21 @@ def find_min_n_local_iso(radius: int, max_n: int) -> int | None:
     members of depth < radius, and each such edge is the value of a word of
     length <= radius, so the labelled balls agree exactly when those rows
     coincide; a level is dropped at the first radius where they differ.
+    The self-similar ball grows only as far as the furthest level reaches.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    target = enumerate_ball(make_tilde(), radius).edges
+    tilde = balls(make_tilde())
+    target = next(tilde)
     for n in range(1, max_n + 1):
         for ball in balls(make_S(n)):
             if ball.radius == 0:
                 continue
-            known = len(ball.symbol_names) * ball.sizes[-2]  # the complete rows
-            if ball.edges[:known] != target[:known]:
+            while target.radius < ball.radius:
+                target = next(tilde)
+            # equal rows so far give equal sizes, so these rows are complete in both
+            known = len(ball.symbol_names) * ball.sizes[-2]
+            if ball.edges[:known] != target.edges[:known]:
                 break
             if ball.radius == radius:
                 return n

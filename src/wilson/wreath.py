@@ -4,16 +4,17 @@ An :class:`Element` is a normalized word whose letters are plain root
 permutations (:class:`~wilson.fano.Perm`) and named recursive atoms
 (:class:`Atom`).  The inverse of an atom is again an atom, built once and
 cached, and an atom certified as an involution is its own inverse, so a word
-never carries exponents.  ``decompose`` turns an element into its node form
-``<g_1,...,g_7> a`` (root permutation plus seven suffix sections); the exact
-identity test closes a set of canonical words under taking sections, which
-terminates because atom sections are again atoms or permutations, so section
-words never grow.
+never carries exponents.  A product of two normal words is normalized only
+at the seam where they meet.  ``decompose`` turns an element into its node
+form ``<g_1,...,g_7> a`` (root permutation plus seven suffix sections),
+building it from the cached node form of the word without its last letter by
+the product rule; the exact identity test closes a set of canonical words
+under taking sections, which terminates because atom sections are again atoms
+or permutations, so section words never grow.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .fano import DEGREE, Perm
@@ -105,6 +106,32 @@ def _normalize(letters):
     return tuple(out)
 
 
+def _join(left: tuple, right: tuple) -> tuple:
+    """``_normalize(left + right)`` for two words that are both normal under
+    the current inverse links.
+
+    Only the seam can reduce: working inward, an atom cancels against its
+    inverse and two permutations fold, until a pair does not reduce.  A fold
+    to a non-identity permutation ends the cascade, because a normal word has
+    no two permutations side by side.  The rewriting is confluent, so the
+    result is the normal form of the concatenation.
+    """
+    i, j = len(left), 0
+    while i and j < len(right):
+        x, y = left[i - 1], right[j]
+        if isinstance(x, Perm):
+            if not isinstance(y, Perm):
+                break
+            folded = x * y
+            if not folded.is_identity():
+                return left[:i - 1] + (folded,) + right[j + 1:]
+        elif x._inverse is not y:
+            break
+        i -= 1
+        j += 1
+    return left[:i] + right[j:]
+
+
 class Element:
     """A group element as a canonical word of atoms and folded permutations."""
 
@@ -120,8 +147,16 @@ class Element:
     def __hash__(self):
         return self._hash
 
+    @classmethod
+    def _wrap(cls, letters: tuple) -> "Element":
+        """The element of a word that is already normal, with no second pass."""
+        e = object.__new__(cls)
+        e.letters = letters
+        e._hash = hash(letters)
+        return e
+
     def __mul__(self, other: "Element") -> "Element":
-        return Element(self.letters + other.letters)
+        return Element._wrap(_join(self.letters, other.letters))
 
     def inverse(self) -> "Element":
         return Element(tuple(letter.inverse() for letter in reversed(self.letters)))
@@ -164,28 +199,42 @@ class NodeForm:
 
 
 _DECOMPOSE_CACHE: dict[Element, NodeForm] = {}
+_TRIVIAL = NodeForm(Perm.identity(), (Element(),) * DEGREE)
 
 
 def decompose(e: Element) -> NodeForm:
-    """Node form of ``e``; product rule ``(gh)_p = g_p * h_{p.root(g)}``."""
+    """Node form of ``e``, folded letter by letter with the product rule
+    ``(gh)_p = g_p * h_{p.root(g)}``.
+
+    The fold starts from the cached node form of the word without its last
+    letter when there is one (a BFS candidate ``m * s`` finds ``m``'s there),
+    else from the trivial node form.  A permutation letter changes only the
+    root; an atom letter joins its section onto each section it reaches, and
+    every other section is shared with the node form it started from.
+    """
     nf = _DECOMPOSE_CACHE.get(e)
     if nf is not None:
         return nf
-    acc = Perm.identity()
-    pieces: list[list] = [[] for _ in range(DEGREE)]
-    for letter in e.letters:
+    letters = e.letters
+    start = _DECOMPOSE_CACHE.get(Element._wrap(letters[:-1])) if letters else None
+    if start is None:
+        start, rest = _TRIVIAL, letters
+    else:
+        rest = letters[-1:]
+    root, secs = start.root, start.sections
+    for letter in rest:
         if isinstance(letter, Perm):
-            acc = acc * letter
+            root = root * letter
             continue
-        for p in range(DEGREE):
-            s = letter.sections[acc.apply(p + 1) - 1]
+        new = list(secs)
+        for p, q in enumerate(root.images):
+            s = letter.sections[q - 1]
             if s.letters:
-                pieces[p].append(s.letters)
-        acc = acc * letter.root
-    secs = tuple(
-        Element(tuple(itertools.chain.from_iterable(chunks))) for chunks in pieces
-    )
-    nf = NodeForm(acc, secs)
+                prev = secs[p].letters
+                new[p] = Element._wrap(_join(prev, s.letters)) if prev else s
+        secs = tuple(new)
+        root = root * letter.root
+    nf = NodeForm(root, secs)
     _DECOMPOSE_CACHE[e] = nf
     return nf
 

@@ -175,6 +175,20 @@ def test_local_iso_small_radii():
     assert [find_min_n_local_iso(radius, 3) for radius in range(1, 7)] == expected
 
 
+def test_local_iso_grows_tilde_only_as_far_as_the_levels(monkeypatch):
+    """S:1 differs from tilde at radius 4, so neither ball goes further."""
+    reached = {}
+
+    def spy(genset):
+        for ball in balls(genset):
+            reached[genset.name] = ball.radius
+            yield ball
+
+    monkeypatch.setattr("wilson.growth.balls", spy)
+    assert find_min_n_local_iso(12, 1) is None
+    assert reached == {"tilde": 4, "S:1": 4}
+
+
 def test_tilde_vs_s1_differ_at_radius_4():
     assert word_partition(make_tilde(), 4) != word_partition(make_S(1), 4)
 

@@ -1,14 +1,18 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wilson.catalog import make_S, make_abar, make_tilde
-from wilson.fano import X, Y, Z, Perm
+from wilson.fano import DEGREE, X, Y, Z, Perm
 from wilson.wreath import (
     Atom,
     Element,
+    NodeForm,
     StateBudgetExceeded,
     act,
     atom_element,
+    clear_caches,
     decompose,
     equals,
     is_identity,
@@ -42,6 +46,70 @@ def product(parts):
     for p in parts:
         acc = acc * p
     return acc
+
+
+def reference_decompose(e):
+    """The whole-word walk: collect each point's section chunks, root by
+    root, and normalize each concatenation once.  No cache is read."""
+    acc = Perm.identity()
+    pieces = [[] for _ in range(DEGREE)]
+    for letter in e.letters:
+        if isinstance(letter, Perm):
+            acc = acc * letter
+            continue
+        for p in range(DEGREE):
+            s = letter.sections[acc.apply(p + 1) - 1]
+            if s.letters:
+                pieces[p].append(s.letters)
+        acc = acc * letter.root
+    return NodeForm(acc, tuple(
+        Element(tuple(itertools.chain.from_iterable(chunks))) for chunks in pieces))
+
+
+def letters_of(nf):
+    return nf.root, tuple(s.letters for s in nf.sections)
+
+
+@given(atom_words)
+@settings(max_examples=60, deadline=None)
+def test_decompose_matches_reference(ws):
+    g = product(ws)
+    expected = letters_of(reference_decompose(g))
+    try:
+        clear_caches()
+        assert letters_of(decompose(g)) == expected
+        clear_caches()
+        for k in range(len(g.letters)):
+            decompose(Element(g.letters[:k]))
+        assert letters_of(decompose(g)) == expected
+    finally:
+        clear_caches()
+
+
+@given(atom_words, atom_words)
+@settings(max_examples=60, deadline=None)
+def test_product_joins_at_the_seam(ws, hs):
+    g, h = product(ws), product(hs)
+    assert (g * h).letters == Element(g.letters + h.letters).letters
+    assert (g * g.inverse()).letters == ()
+
+
+def test_seam_cases():
+    u, u_inv = U4BAR.letters[0], U4BAR.inverse().letters[0]
+    cases = [
+        # x x folds to the identity, then bar(x) cancels against itself
+        (XBAR * XE, XE * XBAR, ()),
+        # x y folds to a permutation, which ends the cascade
+        (XBAR * XE, YE * XBAR, (XBAR.letters[0], X * Y, XBAR.letters[0])),
+        # bar(u) has order 4: it cancels only against its own inverse atom
+        (U4BAR * XE, XE * U4BAR.inverse(), ()),
+        (U4BAR * XE, XE * U4BAR, (u, u)),
+        (U4BAR.inverse(), U4BAR.inverse(), (u_inv, u_inv)),
+        (W * XBAR * YE, YE * XBAR * W.inverse(), ()),
+    ]
+    for g, h, letters in cases:
+        assert (g * h).letters == letters
+        assert Element(g.letters + h.letters).letters == letters
 
 
 def test_decompose_abar_product():
