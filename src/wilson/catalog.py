@@ -15,12 +15,10 @@ from .fano import (X, Y, Z, Perm, commutator, conjugate, find_fix_move,
 from .wreath import (
     Atom,
     Element,
-    NodeForm,
     atom_element,
     decompose,
     equals,
     is_identity,
-    node_equals,
     perm_element,
 )
 
@@ -50,20 +48,15 @@ def make_base() -> GeneratingSet:
     )
 
 
-_ABAR_ATOMS: dict[Perm, Atom] = {}
-
-
+@functools.cache
 def make_abar(a: Perm) -> Element:
     """The recursive copy of ``a``: root trivial, sections <self, a, 1, ..., 1>."""
     if a.is_identity():
         return Element()
-    atom = _ABAR_ATOMS.get(a)
-    if atom is None:
-        atom = Atom(f"bar[{a.cycles()}]", Perm.identity())
-        atom.sections = (atom_element(atom), perm_element(a), _E, _E, _E, _E, _E)
-        _ABAR_ATOMS[a] = atom
-        if (a * a).is_identity():
-            atom.certify_involution()
+    atom = Atom(f"bar[{a.cycles()}]", Perm.identity())
+    atom.sections = (atom_element(atom), perm_element(a), _E, _E, _E, _E, _E)
+    if (a * a).is_identity():
+        atom.certify_involution()
     return atom_element(atom)
 
 
@@ -83,9 +76,7 @@ def abar_act_prefix(s: str, a: Perm) -> str:
     return s
 
 
-_PRIME_CACHE: dict[tuple[Element, Element, Element], tuple[Element, Element, Element]] = {}
-
-
+@functools.cache
 def prime_triple(a: Element, b: Element, c: Element, names=("a'", "b'", "c'")):
     """The priming transform on a triple of involutions.
 
@@ -93,10 +84,6 @@ def prime_triple(a: Element, b: Element, c: Element, names=("a'", "b'", "c'")):
     Inputs must be involutions (engine-checked); outputs are involutions
     because x fixes 4, y fixes 1 and z fixes 2.
     """
-    key = (a, b, c)
-    cached = _PRIME_CACHE.get(key)
-    if cached is not None:
-        return cached
     for t in (a, b, c):
         if not is_identity(t * t):
             raise ValueError(f"priming requires involutions, got {t!r}")
@@ -105,9 +92,7 @@ def prime_triple(a: Element, b: Element, c: Element, names=("a'", "b'", "c'")):
     pc = Atom(names[2], Z, (_E, c, _E, _E, _E, _E, _E))
     for atom in (pa, pb, pc):
         atom.certify_involution()
-    out = (atom_element(pa), atom_element(pb), atom_element(pc))
-    _PRIME_CACHE[key] = out
-    return out
+    return atom_element(pa), atom_element(pb), atom_element(pc)
 
 
 @functools.cache
@@ -221,24 +206,24 @@ class CatalogClaim:
     statement: str
     relation: str  # equal | not-identity
     lhs: Element
-    rhs: Element | NodeForm | None = None
+    rhs: Element | None = None
 
 
 def check_claim(claim: CatalogClaim) -> bool:
     if claim.relation == "equal":
-        if isinstance(claim.rhs, NodeForm):
-            return node_equals(claim.lhs, claim.rhs)
         return equals(claim.lhs, claim.rhs)
     if claim.relation == "not-identity":
         return not is_identity(claim.lhs)
     raise ValueError(f"unknown relation {claim.relation!r}")
 
 
-def _nf(root: Perm, sections: dict[int, Element]) -> NodeForm:
+def _nf(root: Perm, sections: dict[int, Element]) -> Element:
+    """The element ``<g_1,...,g_7> root`` (unset g_p are 1), as an anonymous atom."""
     secs = [_E] * 7
     for pos, el in sections.items():
         secs[pos - 1] = el
-    return NodeForm(root, tuple(secs))
+    name = f"<{','.join(map(repr, secs))}>{root.cycles()}"
+    return atom_element(Atom(name, root, tuple(secs)))
 
 
 def identity_catalog() -> list[CatalogClaim]:

@@ -2,10 +2,10 @@
 
 Exit codes: 0 verdict pass, 1 verdict fail, 2 usage error, 3 engine resource
 error.  A usage error names what was wrong on stderr; besides argparse's own,
-that covers a bad generating set, a radius over the desk-scale cap, a bad
-state budget and every argument the engine rejects with ``ValueError`` (a
-radius, length or step count out of range, a point outside 1..7).  All
-outputs are deterministic: identical configuration gives identical bytes.
+that covers a bad generating set, a radius over the desk-scale cap and every
+argument the engine rejects with ``ValueError`` (a radius, length or step
+count out of range, a point outside 1..7).  All outputs are deterministic:
+identical configuration gives identical bytes.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .growth import (
     sizes_csv_rows,
 )
 from .words import verify_lemma30
-from .wreath import Element, StateBudgetExceeded, act, set_state_budget
+from .wreath import Element, StateBudgetExceeded, act
 
 MAX_BALL_RADIUS = 12
 
@@ -289,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         "wreath-recursion growth construction",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--state-budget", type=int, default=None,
-                        help="override the identity-test state budget (>= 1)")
     common.add_argument("-o", "--output", default=None,
                         help="output path (default stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -352,7 +350,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        set_state_budget(args.state_budget)
         return args.func(args)
     except ValueError as exc:
         print(f"wilson {args.command}: error: {exc}", file=sys.stderr)
@@ -360,8 +357,6 @@ def main(argv=None) -> int:
     except StateBudgetExceeded as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
-    finally:
-        set_state_budget(None)
 
 
 if __name__ == "__main__":

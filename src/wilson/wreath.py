@@ -8,9 +8,11 @@ never carries exponents.  A product of two normal words is normalized only
 at the seam where they meet.  ``decompose`` turns an element into its node
 form ``<g_1,...,g_7> a`` (root permutation plus seven suffix sections),
 building it from the cached node form of the word without its last letter by
-the product rule; the exact identity test closes a set of canonical words
-under taking sections, which terminates because atom sections are again atoms
-or permutations, so section words never grow.
+the product rule.  ``equals`` is the one exact equality test: ``g = h`` iff
+their roots agree and ``g_p = h_p`` at every point p, so it closes the pair
+``(g, h)`` under taking sections.  The closure terminates because atom
+sections are again atoms or permutations, so section words never grow and
+only finitely many pairs of them are reachable.
 """
 
 from __future__ import annotations
@@ -19,26 +21,11 @@ from dataclasses import dataclass
 
 from .fano import DEGREE, Perm
 
-DEFAULT_STATE_BUDGET = 10**6
-
-_BUDGET_OVERRIDE: int | None = None
+STATE_BUDGET = 10**6  # the pairs one equality closure may hold
 
 
 class StateBudgetExceeded(RuntimeError):
-    """Raised when the identity-test state closure outgrows the budget."""
-
-
-def state_budget() -> int:
-    if _BUDGET_OVERRIDE is not None:
-        return _BUDGET_OVERRIDE
-    return DEFAULT_STATE_BUDGET
-
-
-def set_state_budget(value: int | None) -> None:
-    global _BUDGET_OVERRIDE
-    if value is not None and value < 1:
-        raise ValueError(f"the state budget must be >= 1, got {value}")
-    _BUDGET_OVERRIDE = value
+    """Raised when an equality closure outgrows ``STATE_BUDGET`` pairs."""
 
 
 class Atom:
@@ -199,7 +186,8 @@ class NodeForm:
 
 
 _DECOMPOSE_CACHE: dict[Element, NodeForm] = {}
-_TRIVIAL = NodeForm(Perm.identity(), (Element(),) * DEGREE)
+_E = Element()
+_TRIVIAL = NodeForm(Perm.identity(), (_E,) * DEGREE)
 
 
 def decompose(e: Element) -> NodeForm:
@@ -239,65 +227,36 @@ def decompose(e: Element) -> NodeForm:
     return nf
 
 
-_IDENTITY_CACHE: dict[Element, bool] = {}
+def equals(g: Element, h: Element) -> bool:
+    """Exact equality, by closing ``{(g, h)}`` under sections.
+
+    ``g = h`` iff every reachable pair of section words has equal roots.
+    Pairs whose two words are equal need no test and are not followed.
+    """
+    if g == h:
+        return True
+    seen = {(g, h)}
+    stack = [(g, h)]
+    while stack:
+        a, b = stack.pop()
+        na, nb = decompose(a), decompose(b)
+        if na.root != nb.root:
+            return False
+        for pair in zip(na.sections, nb.sections):
+            if pair[0] != pair[1] and pair not in seen:
+                if len(seen) >= STATE_BUDGET:
+                    raise StateBudgetExceeded(
+                        f"equality closure exceeded {STATE_BUDGET} pairs while "
+                        f"comparing {g!r} with {h!r}"
+                    )
+                seen.add(pair)
+                stack.append(pair)
+    return True
 
 
 def is_identity(e: Element) -> bool:
-    """Exact identity test by closing {e} under sections.
-
-    Identity holds iff every reachable canonical word has a trivial root
-    permutation.  All reachable words are cached on a positive verdict.
-    """
-    if not e.letters:
-        return True
-    cached = _IDENTITY_CACHE.get(e)
-    if cached is not None:
-        return cached
-    budget = state_budget()
-    seen = {e}
-    stack = [e]
-    verdict = True
-    while stack:
-        cur = stack.pop()
-        known = _IDENTITY_CACHE.get(cur)
-        if known is True:
-            continue
-        if known is False:
-            verdict = False
-            break
-        nf = decompose(cur)
-        if not nf.root.is_identity():
-            _IDENTITY_CACHE[cur] = False
-            verdict = False
-            break
-        for s in nf.sections:
-            if s.letters and s not in seen:
-                if len(seen) >= budget:
-                    raise StateBudgetExceeded(
-                        f"state closure exceeded {budget} states while testing {e!r}"
-                    )
-                seen.add(s)
-                stack.append(s)
-    if verdict:
-        for s in seen:
-            _IDENTITY_CACHE[s] = True
-    else:
-        _IDENTITY_CACHE[e] = False
-    return verdict
-
-
-def equals(g: Element, h: Element) -> bool:
-    if g == h:
-        return True
-    return is_identity(g * h.inverse())
-
-
-def node_equals(e: Element, nf: NodeForm) -> bool:
-    """True iff ``e`` decomposes exactly to ``nf`` (sections up to equality)."""
-    d = decompose(e)
-    if d.root != nf.root:
-        return False
-    return all(equals(d.sections[i], nf.sections[i]) for i in range(DEGREE))
+    """Exact identity test: ``equals(e, 1)``."""
+    return equals(e, _E)
 
 
 def act(e: Element, s: str) -> str:
@@ -337,9 +296,8 @@ def signature(e: Element, depth: int) -> int:
 
 
 def clear_caches() -> None:
-    """Drop all memo tables (identity, decomposition, signatures)."""
+    """Drop all memo tables (decomposition, signatures); equality keeps none."""
     _DECOMPOSE_CACHE.clear()
-    _IDENTITY_CACHE.clear()
     _SIG_MEMO.clear()
     _SIG_INTERN.clear()
 
@@ -347,6 +305,5 @@ def clear_caches() -> None:
 def engine_stats() -> dict[str, int]:
     return {
         "decompose_cache": len(_DECOMPOSE_CACHE),
-        "identity_cache": len(_IDENTITY_CACHE),
         "signature_cache": len(_SIG_MEMO),
     }

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from wilson import wreath
 from wilson.cli import main
 
 
@@ -131,13 +132,12 @@ USAGE_ERRORS = {
     6: (["act", "--word", "a", "--string", "19"], "invalid point '9'"),
     9: (["ball", "--genset", "S:x", "--radius", "2"], "'S:x'"),
     10: (["ball", "--genset", "S:0", "--radius", "2"], "'S:0'"),
-    11: (["verify-all", "--state-budget", "0"], "state budget must be >= 1"),
-    12: (["verify-all", "--state-budget", "-5"], "state budget must be >= 1"),
 }
 
 
 # each case keeps the id it was first reported under, when the table also had
-# an environment column (None for all of these); cases 7 and 8 are retired
+# an environment column (None for all of these); cases 7 and 8 (an environment
+# variable) and 11 and 12 (a command-line option) are retired with what they set
 @pytest.mark.parametrize("argv, message", [
     pytest.param(argv, message, id=f"argv{n}-None-{message}")
     for n, (argv, message) in USAGE_ERRORS.items()
@@ -184,12 +184,9 @@ def test_bad_genset(capsys):
     assert exc.value.code == 2
 
 
-def test_state_budget_flag(capsys):
-    from wilson.wreath import clear_caches
-
-    clear_caches()
-    code, _, err = run(capsys, "verify-all", "--state-budget", "2")
-    clear_caches()
+def test_state_budget_flag(capsys, monkeypatch):
+    monkeypatch.setattr(wreath, "STATE_BUDGET", 2)
+    code, _, err = run(capsys, "verify-all")
     assert code == 3
     assert "resource error" in err
 

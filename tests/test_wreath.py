@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wilson import wreath
 from wilson.catalog import make_S, make_abar, make_tilde
 from wilson.fano import DEGREE, X, Y, Z, Perm
 from wilson.wreath import (
@@ -16,9 +17,7 @@ from wilson.wreath import (
     decompose,
     equals,
     is_identity,
-    node_equals,
     perm_element,
-    set_state_budget,
     signature,
 )
 
@@ -64,6 +63,25 @@ def reference_decompose(e):
         acc = acc * letter.root
     return NodeForm(acc, tuple(
         Element(tuple(itertools.chain.from_iterable(chunks))) for chunks in pieces))
+
+
+def reference_closure(e):
+    """Every word reachable from ``e`` by taking sections, found with
+    ``reference_decompose``.  No cache is read and no budget applies."""
+    seen = {e}
+    stack = [e]
+    while stack:
+        for s in reference_decompose(stack.pop()).sections:
+            if s.letters and s not in seen:
+                seen.add(s)
+                stack.append(s)
+    return seen
+
+
+def reference_is_identity(e):
+    """The single-word closure: ``e = 1`` iff every word reachable from it by
+    taking sections has a trivial root."""
+    return all(reference_decompose(s).root.is_identity() for s in reference_closure(e))
 
 
 def letters_of(nf):
@@ -232,18 +250,53 @@ def test_portrait():
     assert all(s == E for s in nf.sections[2:])
 
 
-def test_state_budget_error():
-    from wilson.wreath import clear_caches
+def test_state_budget_error(monkeypatch):
+    monkeypatch.setattr(wreath, "STATE_BUDGET", 2)
+    with pytest.raises(StateBudgetExceeded):
+        # trivial root but several distinct nonempty sections
+        is_identity((S1.elements()[0] * S1.elements()[1]) ** 4)
 
-    clear_caches()  # results may already be memoized by earlier tests
-    set_state_budget(2)
-    try:
-        with pytest.raises(StateBudgetExceeded):
-            # trivial root but several distinct nonempty sections
-            is_identity((S1.elements()[0] * S1.elements()[1]) ** 4)
-    finally:
-        set_state_budget(None)
-        clear_caches()  # drop partial results computed under the tiny budget
+
+def test_budget_holds_after_an_earlier_verdict(monkeypatch):
+    # S2.b and y~ agree off their sections at point 1, where S1.b and y~
+    # commute, so the closure holds three pairs: (w, 1), ((S1.b y~)^2, 1) and
+    # one more below it; no verdict from the first call is reused
+    w = (make_S(2).elements()[1] * TILDE.elements()[1]) ** 2
+    assert w.letters and is_identity(w)
+    monkeypatch.setattr(wreath, "STATE_BUDGET", 3)
+    assert is_identity(w)
+    monkeypatch.setattr(wreath, "STATE_BUDGET", 2)
+    with pytest.raises(StateBudgetExceeded):
+        is_identity(w)
+
+
+def truncated_bar(a, depth):
+    """bar(a) cut below ``depth``: sections <t_(depth-1), a, 1, ..., 1> with
+    t_0 = 1, so it differs from bar(a) first on strings of length depth + 2."""
+    t = E
+    for _ in range(depth):
+        t = atom_element(Atom("t", Perm.identity(), (t, perm_element(a), E, E, E, E, E)))
+    return t
+
+
+def test_equals_closure_cases(monkeypatch):
+    # a nonempty word of the identity keeps equal elements' words apart
+    r = (XE * YBAR) ** 4
+    assert r.letters and equals(XE * r, XE) and equals(XE, r * XE)
+    # the roots of both sides are compared
+    for g, h in ((E, XE), (XE, E), (XBAR, XE * XBAR), (XE * XBAR, XBAR)):
+        assert not equals(g, h)
+    # a difference is found at any depth
+    for depth in range(1, 6):
+        assert not equals(truncated_bar(X, depth), XBAR)
+        assert equals(truncated_bar(X, depth), truncated_bar(X, depth))
+    # a pair whose node forms agree word for word is settled at once: pairs
+    # of equal section words are not followed, so one pair suffices
+    g = XBAR * S1.elements()[0]
+    nf = decompose(g)
+    twin = atom_element(Atom("twin", nf.root, nf.sections))
+    monkeypatch.setattr(wreath, "STATE_BUDGET", 1)
+    assert g != twin and equals(g, twin) and equals(twin, g)
 
 
 @given(atom_words, atom_words)
@@ -254,6 +307,21 @@ def test_equality_iff_signatures_agree(ws, hs):
     # depth 8 covers everything word length <= 6 can distinguish here
     sig_eq = signature(g, 8) == signature(h, 8)
     assert eq == sig_eq
+
+
+# nonempty words of the identity, so that equal elements with distinct words occur
+RELATORS = [(XE * YBAR) ** 4, (TILDE.elements()[0] * TILDE.elements()[1]) ** 4,
+            (make_S(2).elements()[1] * TILDE.elements()[1]) ** 2]
+
+
+@given(atom_words, atom_words, st.sampled_from(RELATORS))
+@settings(max_examples=60, deadline=None)
+def test_equals_matches_reference(ws, hs, r):
+    g, h = product(ws), product(hs)
+    for a, b in ((g, h), (g * r, h), (g, r * g), (g * r, g)):
+        assert equals(a, b) == reference_is_identity(a * b.inverse())
+    assert is_identity(g) == reference_is_identity(g)
+    assert is_identity(r * g) == reference_is_identity(r * g)
 
 
 @given(atom_words)
@@ -280,12 +348,4 @@ def test_decompose_homomorphism_property(ws, hs):
 @settings(max_examples=30, deadline=None)
 def test_state_closure_stays_small(ws):
     # closures for short catalog words must stay far below the budget
-    seen = {product(ws)}
-    stack = list(seen)
-    while stack:
-        nf = decompose(stack.pop())
-        for s in nf.sections:
-            if s.letters and s not in seen:
-                seen.add(s)
-                stack.append(s)
-    assert len(seen) < 10**4
+    assert len(reference_closure(product(ws))) < 10**4
