@@ -18,6 +18,8 @@ ETA_HI = 30.0 / 31.0
 LAMBDA_CAP = 31.0
 DEFAULT_TOL = 1e-12
 MAX_BISECTIONS = 200
+CURVE_STEP = 0.01
+CURVE_POINTS = 99
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,8 @@ def g_eta(eta: float) -> float:
 
 def solve_crossing(lam: float, tol: float = DEFAULT_TOL, n: int = 0) -> EtaStep:
     """The unique eta in (0, 1) with lam^(1-eta) = g(eta), by bisection."""
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     if lam <= 1.0 + tol:
         raise ValueError(f"lambda must exceed 1 + tol, got {lam}")
     if lam > LAMBDA_CAP:
@@ -99,14 +103,13 @@ def eval_growth_bound(lam: float, tol: float = DEFAULT_TOL) -> float:
     return solve_crossing(lam, tol).lambda_next
 
 
-def curve_rows(lam: float = 2.0, lo: float = 0.01, hi: float = 0.99,
-               step: float = 0.01) -> list[tuple[float, float, float]]:
-    """(eta, lam^(1-eta), g(eta)) samples for plotting the two branches."""
+def curve_rows(lam: float = 2.0) -> list[tuple[float, float, float]]:
+    """(eta, lam^(1-eta), g(eta)) samples for plotting the two branches, at
+    eta = 0.01, 0.02, ..., 0.99."""
+    if not (math.isfinite(lam) and lam >= 1.0):
+        raise ValueError(f"lambda must be a finite number >= 1, got {lam}")
     rows = []
-    k = 0
-    eta = lo
-    while eta <= hi + 1e-12:
+    for k in range(CURVE_POINTS):
+        eta = CURVE_STEP + k * CURVE_STEP
         rows.append((round(eta, 10), lam ** (1.0 - eta), g_eta(eta)))
-        k += 1
-        eta = lo + k * step
     return rows

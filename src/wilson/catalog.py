@@ -30,9 +30,6 @@ class GeneratingSet:
     name: str
     symbols: tuple[tuple[str, Element], ...]
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.symbols)
-
     def elements(self) -> tuple[Element, ...]:
         return tuple(e for _, e in self.symbols)
 
@@ -97,8 +94,8 @@ def prime_triple(a: Element, b: Element, c: Element, names=("a'", "b'", "c'")):
 
 @functools.cache
 def make_S(n: int) -> GeneratingSet:
-    """The level-n involutive generating triple; level 1 is explicit, higher
-    levels are obtained by priming."""
+    """The level-n involutive generating triple; level 1 is explicit, and
+    levels 2..n are primed bottom-up through the cached ``prime_triple``."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
@@ -109,11 +106,10 @@ def make_S(n: int) -> GeneratingSet:
             atom.certify_involution()
         symbols = (("a", atom_element(a)), ("b", atom_element(b)), ("c", atom_element(c)))
         return GeneratingSet("S:1", symbols)
-    prev = make_S(n - 1)
-    pa, pb, pc = prime_triple(
-        *prev.elements(), names=(f"S{n}.a", f"S{n}.b", f"S{n}.c")
-    )
-    return GeneratingSet(f"S:{n}", (("a", pa), ("b", pb), ("c", pc)))
+    triple = make_S(1).elements()
+    for k in range(2, n + 1):
+        triple = prime_triple(*triple, names=(f"S{k}.a", f"S{k}.b", f"S{k}.c"))
+    return GeneratingSet(f"S:{n}", tuple(zip("abc", triple)))
 
 
 @functools.cache

@@ -1,17 +1,21 @@
 """Cayley-ball enumeration, growth statistics and local-isomorphism tests.
 
 Every ball query reads one breadth-first search, the generator :func:`balls`,
-which grows one :class:`Ball` in place, radius by radius.  A ball's edges are
-a flat ``array``: ``edges[m * k + s]`` is the member reached from member ``m``
-by symbol ``s`` (of ``k``), or -1 while unknown.  Balls use the "at most n
-factors" convention by default; the "exactly n" variant (which can differ when
-a parity homomorphism exists) is :func:`ball_sizes_exact_convention`, an
-integer walk over (member, parity) states on those edges.  All enumeration
-orders are (length, lexicographic), so geodesics and exports are reproducible.
+which grows one :class:`Ball` in place, radius by radius.  A ball stores its
+members once, as its :class:`Deduper`'s list, and its search tree once, as a
+flat ``array`` of edges: ``edges[m * k + s]`` is the member reached from member
+``m`` by symbol ``s`` (of ``k``), or -1 while unknown.  Geodesic words are not
+stored; :meth:`Ball.geodesics` reads them back from the edges.  Balls use the
+"at most n factors" convention by default; the "exactly n" variant (which can
+differ when a parity homomorphism exists) is
+:func:`ball_sizes_exact_convention`, an integer walk over (member, parity)
+states on those edges.  All enumeration orders are (length, lexicographic),
+so geodesics and exports are reproducible.
 """
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from dataclasses import dataclass
 from typing import Iterator
@@ -20,6 +24,7 @@ from .catalog import GeneratingSet, make_S, make_free_quadruple, make_tilde
 from .wreath import Element, equals, is_identity, signature
 
 START_SIG_DEPTH = 3
+REFINE_LEN = 3  # the free-monoid check's {a, b, c, d}-words reach this length
 
 
 class Deduper:
@@ -80,10 +85,11 @@ def _effective_symbols(genset: GeneratingSet):
 
 @dataclass
 class Ball:
+    """A Cayley ball: ``members`` is the search's ``Deduper.elements`` list."""
+
     genset: GeneratingSet
     radius: int
     members: list[Element]
-    geodesics: list[tuple[int, ...]]
     sizes: list[int]  # cumulative ball sizes, index = radius
     edges: array  # edges[m * k + s]: member reached from m by symbol s, or -1
     symbol_names: tuple[str, ...]
@@ -92,10 +98,20 @@ class Ball:
     def size(self) -> int:
         return len(self.members)
 
-    def sphere_sizes(self) -> list[int]:
-        return [self.sizes[0]] + [
-            self.sizes[i] - self.sizes[i - 1] for i in range(1, len(self.sizes))
-        ]
+    def geodesics(self) -> list[tuple[int, ...]]:
+        """Each member's least shortest word, read back from the edges.
+
+        Scanning the rows in member order, the first entry ``(m, s)`` that
+        reaches member t is the one the search found t by, so t's word is
+        ``words[m] + (s,)``: rows of depth < radius are complete, and a row of
+        the outer sphere holds only its backtrack entry, to an earlier member.
+        """
+        k = len(self.symbol_names)
+        words: list = [()] + [None] * (self.size - 1)
+        for i, target in enumerate(self.edges):
+            if target >= 0 and words[target] is None:
+                words[target] = words[i // k] + (i % k,)
+        return words
 
 
 def balls(genset: GeneratingSet) -> Iterator[Ball]:
@@ -103,19 +119,20 @@ def balls(genset: GeneratingSet) -> Iterator[Ball]:
 
     The same :class:`Ball` is yielded each time and grows in place when the
     generator resumes.  Members are found in (length, lexicographic word)
-    order, so each geodesic is the least shortest word.  At radius r the row
-    of ``edges`` of every member of depth < r is complete; a member of depth
-    r knows only its backtrack entry (its BFS parent), set when it is found.
+    order, so each geodesic is the least shortest word.  A new member costs
+    one ``Deduper.add`` (the ball's members are the deduper's list) and one
+    blank row of ``edges``.  At radius r the row of every member of depth < r
+    is complete; a member of depth r knows only its backtrack entry (its BFS
+    parent), set when it is found.
     """
     syms, inverse_of = _effective_symbols(genset)
     k = len(syms)
     blank = array("i", [-1]) * k
-    identity = Element()
     dedup = Deduper()
-    dedup.add(identity)
-    ball = Ball(genset, 0, [identity], [()], [1], array("i", blank),
+    dedup.add(Element())
+    ball = Ball(genset, 0, dedup.elements, [1], array("i", blank),
                 tuple(name for name, _ in syms))
-    members, geodesics, edges = ball.members, ball.geodesics, ball.edges
+    members, edges = ball.members, ball.edges
     start = 0
     while True:
         yield ball
@@ -129,8 +146,6 @@ def balls(genset: GeneratingSet) -> Iterator[Ball]:
                 target = dedup.find(candidate)
                 if target is None:
                     target = dedup.add(candidate)
-                    members.append(candidate)
-                    geodesics.append(geodesics[mid] + (s,))
                     edges.extend(blank)
                     edges[target * k + inverse_of[s]] = mid
                 edges[row + s] = target
@@ -225,6 +240,8 @@ def find_min_n_local_iso(radius: int, max_n: int) -> int | None:
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
     tilde = balls(make_tilde())
     target = next(tilde)
     for n in range(1, max_n + 1):
@@ -242,70 +259,62 @@ def find_min_n_local_iso(radius: int, max_n: int) -> int | None:
     return None
 
 
-def free_monoid_check(length: int, pair=None, refine_len: int = 3) -> dict:
+def _classed_words(quad, alphabet: str, max_len: int) -> Iterator[tuple[str, int]]:
+    """``(word, class)`` for the words over ``alphabet`` of length <=
+    ``max_len`` in (length, lexicographic) order; classes are group-equality
+    classes, numbered in order of first appearance."""
+    dedup = Deduper()
+    for n in range(max_len + 1):
+        for letters in itertools.product(alphabet, repeat=n):
+            w = "".join(letters)
+            e = quad.word(w)
+            cid = dedup.find(e)
+            yield w, dedup.add(e) if cid is None else cid
+
+
+def free_monoid_check(length: int, pair=None) -> dict:
     """Witness checks for the embedded free monoid.
 
     (i) all {a, d}-words of length <= ``length`` are pairwise distinct, so
     they number 2^(length+1) - 1; (ii) on {a, b, c, d}-words of length <=
-    ``refine_len``, group equality refines equality of (b -> a, d -> c)
+    ``REFINE_LEN``, group equality refines equality of (b -> a, d -> c)
     images.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
     quad = make_free_quadruple(pair)
-    dedup = Deduper()
-    counterexamples = []
-    words_by_id: list[str] = []
-    level = [""]
-    all_words = [""]
-    for _ in range(length):
-        level = [w + ch for w in level for ch in "ad"]
-        all_words.extend(level)
-    for w in all_words:
-        e = quad.word(w)
-        found = dedup.find(e)
-        if found is None:
-            dedup.add(e)
-            words_by_id.append(w)
+    first: list[str] = []  # the first word of each class
+    collisions = []
+    for w, cid in _classed_words(quad, "ad", length):
+        if cid == len(first):
+            first.append(w)
         else:
-            counterexamples.append((words_by_id[found], w))
+            collisions.append([first[cid], w])
+    distinct = len(first)
     expected = 2 ** (length + 1) - 1
-    distinct = len(dedup.elements)
 
-    refine_ok = True
-    refine_counterexample = None
-    rdedup = Deduper()
     classes: dict[int, list[str]] = {}
-    rlevel = [""]
-    rwords = [""]
-    for _ in range(refine_len):
-        rlevel = [w + ch for w in rlevel for ch in "abcd"]
-        rwords.extend(rlevel)
-    for w in rwords:
-        e = quad.word(w)
-        cid = rdedup.find(e)
-        if cid is None:
-            cid = rdedup.add(e)
+    for w, cid in _classed_words(quad, "abcd", REFINE_LEN):
         classes.setdefault(cid, []).append(w)
+    refine_counterexample = None
     trans = str.maketrans("abcd", "aacc")
     for cls in classes.values():
-        images = {w.translate(trans) for w in cls}
-        if len(images) > 1:
-            refine_ok = False
+        if len({w.translate(trans) for w in cls}) > 1:
             refine_counterexample = sorted(cls)[:2]
             break
+    refine_ok = refine_counterexample is None
 
     return {
         "pair": [quad.u.cycles(), quad.v.cycles()],
         "length": length,
         "distinct": distinct,
         "expected": expected,
-        "distinct_ok": distinct == expected and not counterexamples,
-        "collisions": [list(c) for c in counterexamples],
-        "refine_len": refine_len,
+        "distinct_ok": distinct == expected and not collisions,
+        "collisions": collisions,
+        "refine_len": REFINE_LEN,
         "refine_ok": refine_ok,
         "refine_counterexample": refine_counterexample,
-        "all_ok": distinct == expected and not counterexamples and refine_ok,
+        "all_ok": distinct == expected and not collisions and refine_ok,
     }
 
 
@@ -317,7 +326,7 @@ def export_dot(genset: GeneratingSet, radius: int) -> str:
     size = ball.sizes[radius]
     k = len(ball.symbol_names)
     lines = ["graph ball {"]
-    for mid, word in enumerate(ball.geodesics[:size]):
+    for mid, word in enumerate(ball.geodesics()[:size]):
         label = "e" if not word else " ".join(ball.symbol_names[s] for s in word)
         lines.append(f'  v{mid} [label="{label}"];')
     seen = set()

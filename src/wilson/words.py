@@ -142,7 +142,7 @@ def geodesic_delta_stats(ball, eta: float) -> list[dict]:
     if len(ball.genset) != 3:
         raise ValueError("stats need a 3-symbol generating set")
     by_length: dict[int, list[str]] = {}
-    for word in ball.geodesics:
+    for word in ball.geodesics():
         if not word:
             continue
         by_length.setdefault(len(word), []).append(

@@ -74,28 +74,9 @@ class Atom:
         return self.name
 
 
-def _normalize(letters):
-    out = []
-    for letter in letters:
-        if isinstance(letter, Perm):
-            if letter.is_identity():
-                continue
-            if out and isinstance(out[-1], Perm):
-                folded = out.pop() * letter
-                if not folded.is_identity():
-                    out.append(folded)
-                continue
-            out.append(letter)
-        elif out and isinstance(out[-1], Atom) and out[-1]._inverse is letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
 def _join(left: tuple, right: tuple) -> tuple:
-    """``_normalize(left + right)`` for two words that are both normal under
-    the current inverse links.
+    """The normal form of ``left + right`` for two words that are both normal
+    under the current inverse links.
 
     Only the seam can reduce: working inward, an atom cancels against its
     inverse and two permutations fold, until a pair does not reduce.  A fold
@@ -117,6 +98,16 @@ def _join(left: tuple, right: tuple) -> tuple:
         i -= 1
         j += 1
     return left[:i] + right[j:]
+
+
+def _normalize(letters) -> tuple:
+    """The normal form of any word: ``_join`` folded over its letters, each a
+    one-letter normal word once identity permutations are dropped."""
+    out = ()
+    for letter in letters:
+        if not (isinstance(letter, Perm) and letter.is_identity()):
+            out = _join(out, (letter,))
+    return out
 
 
 class Element:
@@ -155,10 +146,6 @@ class Element:
         for _ in range(k):
             acc = acc * self
         return acc
-
-    @property
-    def is_trivial_word(self) -> bool:
-        return not self.letters
 
     def __repr__(self):
         if not self.letters:

@@ -112,7 +112,7 @@ def test_criterion_04_pattern_free_counts(capsys):
 
 def test_criterion_05_free_monoid(capsys):
     t0 = time.perf_counter()
-    reports = [free_monoid_check(8, pair=p, refine_len=3) for p in swapper_pairs()]
+    reports = [free_monoid_check(8, pair=p) for p in swapper_pairs()]
     ok = all(r["all_ok"] and r["distinct"] == 511 for r in reports)
     with capsys.disabled():
         report("criterion-05 free monoid witness", ok, t0,

@@ -71,7 +71,7 @@ def test_bound_is_strict_improvement(lam):
 
 
 def test_curve_rows():
-    rows = curve_rows(2.0, 0.01, 0.99, 0.01)
+    rows = curve_rows(2.0)
     assert len(rows) == 99
     assert rows[0][0] == 0.01
     eta, decay, growth = rows[49]

@@ -25,7 +25,7 @@ perms = st.sampled_from(A_ELEMENTS)
 
 def test_base_set():
     base = make_base()
-    assert base.names() == ("x", "y", "z")
+    assert [name for name, _ in base.symbols] == ["x", "y", "z"]
     assert act(base.elements()[0], "1") == "5"
     els = base.elements()
     assert len({e for e in els}) == 3
@@ -35,7 +35,7 @@ def test_base_set():
 
 
 def test_make_abar_identity():
-    assert make_abar(Perm.identity()).is_trivial_word
+    assert make_abar(Perm.identity()).letters == ()
 
 
 def test_make_abar_action():

@@ -132,6 +132,14 @@ USAGE_ERRORS = {
     6: (["act", "--word", "a", "--string", "19"], "invalid point '9'"),
     9: (["ball", "--genset", "S:x", "--radius", "2"], "'S:x'"),
     10: (["ball", "--genset", "S:0", "--radius", "2"], "'S:0'"),
+    13: (["lambda", "--tol", "0"], "tol must be > 0"),
+    14: (["lambda", "--tol", "-1"], "tol must be > 0"),
+    15: (["lambda", "--tol", "nan"], "tol must be > 0"),
+    16: (["curves", "--lam", "-1"], "lambda must be a finite number >= 1"),
+    17: (["curves", "--lam", "nan"], "lambda must be a finite number >= 1"),
+    18: (["curves", "--lam", "inf"], "lambda must be a finite number >= 1"),
+    19: (["local-iso", "--max-n", "0"], "max_n must be >= 1"),
+    20: (["local-iso", "--max-n", "-3"], "max_n must be >= 1"),
 }
 
 
@@ -176,6 +184,15 @@ def test_pinned_output_bytes(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED[argv]
+
+
+def test_large_level(capsys):
+    """Levels are primed bottom-up, so a deep level needs no deep recursion;
+    its ball agrees with tilde's up to radius 4."""
+    code, out, _ = run(capsys, "growth", "--genset", "S:1200", "--radius", "4")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[3:]]
+    assert [int(r[1]) for r in rows] == [4, 10, 22, 43]
 
 
 def test_bad_genset(capsys):

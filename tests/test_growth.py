@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from wilson.catalog import GeneratingSet, make_S, make_tilde, swapper_pairs
@@ -52,8 +54,8 @@ def test_ball_radius_zero_and_one():
     s1 = make_S(1)
     ball = enumerate_ball(s1, 1)
     assert ball.sizes == [1, 4]
-    assert ball.geodesics[0] == ()
-    assert sorted(ball.geodesics[1:]) == [(0,), (1,), (2,)]
+    assert ball.geodesics()[0] == ()
+    assert sorted(ball.geodesics()[1:]) == [(0,), (1,), (2,)]
     b0 = enumerate_ball(s1, 0)
     assert b0.sizes == [1]
 
@@ -62,14 +64,14 @@ def test_ball_members_distinct_and_geodesic_lengths():
     ball = enumerate_ball(make_tilde(), 4)
     for i, g in enumerate(ball.members):
         assert is_identity(g) == (i == 0)
-    for word, g in zip(ball.geodesics, ball.members):
+    for word, g in zip(ball.geodesics(), ball.members):
         acc = Element()
         for s in word:
             acc = acc * ball.genset.elements()[s]
         assert equals(acc, g)
-    lengths = [len(w) for w in ball.geodesics]
+    lengths = [len(w) for w in ball.geodesics()]
     assert lengths == sorted(lengths)
-    assert ball.sphere_sizes() == [1, 3, 6, 12, 21]
+    assert ball.sizes == [1, 4, 10, 22, 43]
 
 
 def test_ball_sizes_conventions():
@@ -140,17 +142,38 @@ def test_balls_grow_in_place(genset):
         fresh = enumerate_ball(genset, radius)
         assert ball.radius == radius
         assert ball.sizes == fresh.sizes
-        assert ball.geodesics == fresh.geodesics
+        assert ball.geodesics() == fresh.geodesics()
         complete = k * (ball.sizes[radius - 1] if radius else 0)
         assert ball.edges[:complete] == fresh.edges[:complete]
         assert -1 not in ball.edges[:complete]
-        parent = {word: i for i, word in enumerate(ball.geodesics)}
+        geodesics = ball.geodesics()
+        parent = {word: i for i, word in enumerate(geodesics)}
         for mid in range(complete // k, ball.size):
-            word = ball.geodesics[mid]
+            word = geodesics[mid]
             row = [-1] * k
             if word:
                 row[inverse_of[word[-1]]] = parent[word[:-1]]
             assert list(ball.edges[mid * k:(mid + 1) * k]) == row
+
+
+@pytest.mark.parametrize("genset", [make_S(1), make_tilde(), PERMS, ROTS],
+                         ids=["S:1", "tilde", "xyz", "uv"])
+def test_geodesics_are_least_words(genset):
+    """Each member's geodesic is the first word, in (length, lexicographic)
+    order over the search symbols, whose product equals it; the words are
+    enumerated and compared by ``equals``, with no edges and no Deduper."""
+    symbols = search_symbols(genset)
+    members = enumerate_ball(genset, 5).members
+    least = {}
+    for n in range(6):
+        for word in itertools.product(range(len(symbols)), repeat=n):
+            e = Element()
+            for s in word:
+                e = e * symbols[s]
+            least.setdefault(next(m for m, g in enumerate(members) if equals(e, g)), word)
+    expected = [least[m] for m in range(len(members))]
+    for ball, radius in zip(balls(genset), range(6)):
+        assert ball.geodesics() == expected[:ball.size]
 
 
 def test_growth_estimates_rows():
@@ -203,7 +226,7 @@ def test_free_monoid_short():
 
 def test_free_monoid_all_pairs_short():
     for pair in swapper_pairs():
-        report = free_monoid_check(3, pair=pair, refine_len=2)
+        report = free_monoid_check(3, pair=pair)
         assert report["all_ok"], report
 
 

@@ -47,6 +47,40 @@ def product(parts):
     return acc
 
 
+def reference_normalize(letters):
+    """The stack walk: drop identity permutations, fold adjacent permutations
+    and cancel an atom against the atom it is linked to as inverse."""
+    out = []
+    for letter in letters:
+        if isinstance(letter, Perm):
+            if letter.is_identity():
+                continue
+            if out and isinstance(out[-1], Perm):
+                folded = out.pop() * letter
+                if not folded.is_identity():
+                    out.append(folded)
+                continue
+            out.append(letter)
+        elif out and isinstance(out[-1], Atom) and out[-1]._inverse is letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
+# raw letters: the identity, permutations that fold with each other, and atoms
+# next to their inverse atoms (involutions are their own)
+LETTERS = [Perm.identity(), X, Y, Z, X * Y,
+           *(g.letters[0] for g in (XBAR, *S1.elements(), *TILDE.elements(), U4BAR, W)),
+           U4BAR.inverse().letters[0], W.inverse().letters[0]]
+
+
+@given(st.lists(st.sampled_from(LETTERS), max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_normalize_matches_reference(letters):
+    assert Element(tuple(letters)).letters == reference_normalize(letters)
+
+
 def reference_decompose(e):
     """The whole-word walk: collect each point's section chunks, root by
     root, and normalize each concatenation once.  No cache is read."""
