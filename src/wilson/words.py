@@ -47,10 +47,6 @@ def reduced_words(n: int) -> Iterator[str]:
     yield from extend("")
 
 
-def count_reduced(n: int) -> int:
-    return 1 if n == 0 else 3 * 2 ** (n - 1)
-
-
 def contains_delta(w: str) -> bool:
     return any(p in w for p in DELTA)
 
@@ -67,11 +63,6 @@ def count_delta_occurrences(w: str) -> int:
             total += 1
             start = i + 1
     return total
-
-
-def count_delta_free_naive(n: int) -> int:
-    """Exact count of pattern-free reduced words by full enumeration."""
-    return sum(1 for w in reduced_words(n) if not contains_delta(w))
 
 
 def count_delta_free(n: int) -> int:

@@ -4,15 +4,17 @@ An :class:`Element` is a normalized word whose letters are plain root
 permutations (:class:`~wilson.fano.Perm`) and named recursive atoms
 (:class:`Atom`).  The inverse of an atom is again an atom, built once and
 cached, and an atom certified as an involution is its own inverse, so a word
-never carries exponents.  A product of two normal words is normalized only
-at the seam where they meet.  ``decompose`` turns an element into its node
-form ``<g_1,...,g_7> a`` (root permutation plus seven suffix sections),
-building it from the cached node form of the word without its last letter by
-the product rule.  ``equals`` is the one exact equality test: ``g = h`` iff
-their roots agree and ``g_p = h_p`` at every point p, so it closes the pair
-``(g, h)`` under taking sections.  The closure terminates because atom
-sections are again atoms or permutations, so section words never grow and
-only finitely many pairs of them are reachable.
+never carries exponents.  Elements are hash-consed: each normal word is one
+object, so two elements have the same word exactly when they are the same
+object.  A product of two normal words is normalized only at the seam where
+they meet.  ``decompose`` turns an element into its node form
+``<g_1,...,g_7> a`` (root permutation plus seven suffix sections), kept on
+the element, building it from the node form of the word without its last
+letter by the product rule.  ``equals`` is the one exact equality test:
+``g = h`` iff their roots agree and ``g_p = h_p`` at every point p, so it
+closes the pair ``(g, h)`` under taking sections.  The closure terminates
+because atom sections are again atoms or permutations, so section words
+never grow and only finitely many pairs of them are reachable.
 """
 
 from __future__ import annotations
@@ -111,26 +113,27 @@ def _normalize(letters) -> tuple:
 
 
 class Element:
-    """A group element as a canonical word of atoms and folded permutations."""
+    """A group element as a canonical word of atoms and folded permutations.
 
-    __slots__ = ("letters", "_hash")
+    Elements are hash-consed: each normal word is one object, interned in
+    ``_ELEMENTS`` by its letters, so ``==`` and ``hash`` are identity's.  The
+    slot ``nf`` holds the element's node form once ``decompose`` has built it.
+    """
 
-    def __init__(self, letters=()):
-        self.letters = _normalize(letters)
-        self._hash = hash(self.letters)
+    __slots__ = ("letters", "nf")
 
-    def __eq__(self, other):
-        return isinstance(other, Element) and self.letters == other.letters
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, letters=()):
+        return cls._wrap(_normalize(letters))
 
     @classmethod
     def _wrap(cls, letters: tuple) -> "Element":
         """The element of a word that is already normal, with no second pass."""
-        e = object.__new__(cls)
-        e.letters = letters
-        e._hash = hash(letters)
+        e = _ELEMENTS.get(letters)
+        if e is None:
+            e = object.__new__(cls)
+            e.letters = letters
+            e.nf = None
+            _ELEMENTS[letters] = e
         return e
 
     def __mul__(self, other: "Element") -> "Element":
@@ -156,6 +159,9 @@ class Element:
         )
 
 
+_ELEMENTS: dict[tuple, Element] = {}  # the intern table: letters -> element
+
+
 def perm_element(p: Perm) -> Element:
     return Element((p,))
 
@@ -164,7 +170,7 @@ def atom_element(a: Atom) -> Element:
     return Element((a,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeForm:
     """Wreath decomposition: a root permutation and 7 suffix sections."""
 
@@ -172,7 +178,6 @@ class NodeForm:
     sections: tuple[Element, ...]
 
 
-_DECOMPOSE_CACHE: dict[Element, NodeForm] = {}
 _E = Element()
 _TRIVIAL = NodeForm(Perm.identity(), (_E,) * DEGREE)
 
@@ -181,17 +186,19 @@ def decompose(e: Element) -> NodeForm:
     """Node form of ``e``, folded letter by letter with the product rule
     ``(gh)_p = g_p * h_{p.root(g)}``.
 
-    The fold starts from the cached node form of the word without its last
-    letter when there is one (a BFS candidate ``m * s`` finds ``m``'s there),
+    The node form is kept on the element (``e.nf``).  The fold starts from
+    the node form of the word without its last letter when that word is
+    interned and has one (a BFS candidate ``m * s`` finds ``m``'s there),
     else from the trivial node form.  A permutation letter changes only the
     root; an atom letter joins its section onto each section it reaches, and
     every other section is shared with the node form it started from.
     """
-    nf = _DECOMPOSE_CACHE.get(e)
+    nf = e.nf
     if nf is not None:
         return nf
     letters = e.letters
-    start = _DECOMPOSE_CACHE.get(Element._wrap(letters[:-1])) if letters else None
+    prefix = _ELEMENTS.get(letters[:-1]) if letters else None
+    start = prefix.nf if prefix is not None else None
     if start is None:
         start, rest = _TRIVIAL, letters
     else:
@@ -209,8 +216,7 @@ def decompose(e: Element) -> NodeForm:
                 new[p] = Element._wrap(_join(prev, s.letters)) if prev else s
         secs = tuple(new)
         root = root * letter.root
-    nf = NodeForm(root, secs)
-    _DECOMPOSE_CACHE[e] = nf
+    nf = e.nf = NodeForm(root, secs)
     return nf
 
 
@@ -220,7 +226,7 @@ def equals(g: Element, h: Element) -> bool:
     ``g = h`` iff every reachable pair of section words has equal roots.
     Pairs whose two words are equal need no test and are not followed.
     """
-    if g == h:
+    if g is h:
         return True
     seen = {(g, h)}
     stack = [(g, h)]
@@ -230,7 +236,7 @@ def equals(g: Element, h: Element) -> bool:
         if na.root != nb.root:
             return False
         for pair in zip(na.sections, nb.sections):
-            if pair[0] != pair[1] and pair not in seen:
+            if pair[0] is not pair[1] and pair not in seen:
                 if len(seen) >= STATE_BUDGET:
                     raise StateBudgetExceeded(
                         f"equality closure exceeded {STATE_BUDGET} pairs while "
@@ -262,8 +268,9 @@ def act(e: Element, s: str) -> str:
 
 # Signatures are hash-consed encodings of the action on all strings of length
 # <= depth: equal elements get equal signatures at every depth, and comparing
-# two signatures is O(1).
-_SIG_MEMO: dict[tuple[Element, int], int] = {}
+# two signatures is O(1).  ``_SIG_MEMO[depth]`` maps an element to its
+# signature at that depth.
+_SIG_MEMO: dict[int, dict[Element, int]] = {}
 _SIG_INTERN: dict[tuple, int] = {}
 
 
@@ -272,25 +279,33 @@ def signature(e: Element, depth: int) -> int:
         raise ValueError("depth must be >= 0")
     if depth == 0:
         return -1
-    key = (e, depth)
-    sig = _SIG_MEMO.get(key)
+    memo = _SIG_MEMO.get(depth)
+    if memo is None:
+        memo = _SIG_MEMO[depth] = {}
+    sig = memo.get(e)
     if sig is None:
         nf = decompose(e)
         node = (nf.root.images, tuple(signature(s, depth - 1) for s in nf.sections))
-        sig = _SIG_INTERN.setdefault(node, len(_SIG_INTERN))
-        _SIG_MEMO[key] = sig
+        sig = memo[e] = _SIG_INTERN.setdefault(node, len(_SIG_INTERN))
     return sig
 
 
 def clear_caches() -> None:
-    """Drop all memo tables (decomposition, signatures); equality keeps none."""
-    _DECOMPOSE_CACHE.clear()
+    """Drop every node form and the signature tables.
+
+    The intern table stays: atoms' sections and cached generating sets hold
+    elements, and identity equality needs one object per word.
+    """
+    for e in _ELEMENTS.values():
+        e.nf = None
     _SIG_MEMO.clear()
     _SIG_INTERN.clear()
 
 
 def engine_stats() -> dict[str, int]:
+    """Node forms built, signature entries and interned elements."""
     return {
-        "decompose_cache": len(_DECOMPOSE_CACHE),
-        "signature_cache": len(_SIG_MEMO),
+        "decompose_cache": sum(e.nf is not None for e in _ELEMENTS.values()),
+        "signature_cache": sum(len(memo) for memo in _SIG_MEMO.values()),
+        "elements": len(_ELEMENTS),
     }

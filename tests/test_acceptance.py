@@ -29,14 +29,11 @@ from wilson.growth import (
     find_min_n_local_iso,
     free_monoid_check,
 )
-from wilson.words import (
-    count_delta_free,
-    count_delta_free_naive,
-    geodesic_delta_stats,
-)
+from wilson.words import count_delta_free, geodesic_delta_stats
 from wilson.wreath import act, decompose
 
 from partition_oracle import least_levels, pairwise_ball_sizes
+from words_oracle import count_delta_free_naive
 
 
 def report(criterion: str, ok: bool, started: float, detail: str = "") -> None:

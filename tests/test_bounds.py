@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from wilson.bounds import (
     DEFAULT_TOL,
     ETA_HI,
+    RESIDUAL_ULPS,
     curve_rows,
     eval_growth_bound,
     g_eta,
@@ -44,6 +45,21 @@ def test_solve_crossing_rejects_bad_lambda():
         solve_crossing(1.0)
     with pytest.raises(ValueError):
         solve_crossing(40.0)
+
+
+def test_solve_crossing_rejects_tol_below_float_floor():
+    floor = RESIDUAL_ULPS * math.ulp(2.0)
+    with pytest.raises(ValueError, match="floating-point floor"):
+        solve_crossing(2.0, tol=floor / 2)
+    with pytest.raises(ValueError, match="floating-point floor"):
+        lambda_sequence(3, tol=1e-17)
+    assert solve_crossing(2.0, tol=floor).residual <= floor
+
+
+@given(st.floats(min_value=1.0 + 1e-9, max_value=31.0))
+def test_residual_stays_within_float_floor(lam):
+    # the smallest tol accepted is always met
+    solve_crossing(lam, tol=RESIDUAL_ULPS * math.ulp(lam))
 
 
 def test_lambda_sequence():

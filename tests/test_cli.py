@@ -140,6 +140,7 @@ USAGE_ERRORS = {
     18: (["curves", "--lam", "inf"], "lambda must be a finite number >= 1"),
     19: (["local-iso", "--max-n", "0"], "max_n must be >= 1"),
     20: (["local-iso", "--max-n", "-3"], "max_n must be >= 1"),
+    21: (["lambda", "--steps", "3", "--tol", "1e-17"], "floating-point floor"),
 }
 
 

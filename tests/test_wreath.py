@@ -81,6 +81,49 @@ def test_normalize_matches_reference(letters):
     assert Element(tuple(letters)).letters == reference_normalize(letters)
 
 
+letter_words = st.lists(st.sampled_from(LETTERS), max_size=12)
+
+
+@given(letter_words, letter_words)
+@settings(max_examples=100, deadline=None)
+def test_one_object_per_normal_word(ws, hs):
+    g, h = Element(tuple(ws)), Element(tuple(hs))
+    assert Element(tuple(ws)) is g
+    assert Element(g.letters) is g
+    assert g * h is Element(g.letters + h.letters)
+    assert g.inverse().inverse() is g
+    assert (g == h) == (g.letters == h.letters)
+
+
+@given(letter_words)
+@settings(max_examples=60, deadline=None)
+def test_interning_survives_clear_caches(ws):
+    g = Element(tuple(ws))
+    decompose(g)
+    try:
+        clear_caches()
+        assert Element(tuple(ws)) is g and g.nf is None
+        assert letters_of(decompose(g)) == letters_of(reference_decompose(g))
+        assert all(s is Element(s.letters) for s in decompose(g).sections)
+    finally:
+        clear_caches()
+
+
+def test_engine_stats_counts():
+    clear_caches()
+    stats = wreath.engine_stats()
+    assert stats["decompose_cache"] == stats["signature_cache"] == 0
+    g = XBAR * YBAR * Element((X * Y, TILDE.elements()[0].letters[0]))
+    signature(g, 2)
+    # a node form and a signature for g and for each distinct section of g
+    read = {g, *decompose(g).sections}
+    assert wreath.engine_stats() == {
+        "decompose_cache": len(read),
+        "signature_cache": len(read),
+        "elements": len(wreath._ELEMENTS),
+    }
+
+
 def reference_decompose(e):
     """The whole-word walk: collect each point's section chunks, root by
     root, and normalize each concatenation once.  No cache is read."""
