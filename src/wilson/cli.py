@@ -2,10 +2,10 @@
 
 Exit codes: 0 verdict pass, 1 verdict fail, 2 usage error, 3 engine resource
 error.  A usage error names what was wrong on stderr; besides argparse's own,
-that covers a bad generating set, a radius over the desk-scale cap and every
-argument the engine rejects with ``ValueError`` (a radius, length or step
-count out of range, a point outside 1..7).  All outputs are deterministic:
-identical configuration gives identical bytes.
+that covers a bad generating set, a radius or word length over its desk-scale
+cap and every argument the engine rejects with ``ValueError`` (a radius, length
+or step count out of range, a point outside 1..7).  All outputs are
+deterministic: identical configuration gives identical bytes.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .words import verify_lemma30
 from .wreath import Element, StateBudgetExceeded, act
 
 MAX_BALL_RADIUS = 12
+MAX_FREE_MONOID_LENGTH = 12
 
 
 @dataclass
@@ -165,7 +166,7 @@ def cmd_verify_all(args) -> int:
 
 
 def cmd_ball(args) -> int:
-    _check_radius(args.radius, MAX_BALL_RADIUS, args.force)
+    _check_cap("radius", args.radius, MAX_BALL_RADIUS, args.force)
     genset = _parse_genset(args.genset)
     config = RunConfig("ball", {"genset": genset.name, "radius": args.radius,
                                 "format": args.format})
@@ -182,7 +183,7 @@ def cmd_ball(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    _check_radius(args.radius, MAX_BALL_RADIUS, args.force)
+    _check_cap("radius", args.radius, MAX_BALL_RADIUS, args.force)
     genset = _parse_genset(args.genset)
     config = RunConfig(
         "growth",
@@ -223,6 +224,7 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_free_monoid(args) -> int:
+    _check_cap("length", args.length, MAX_FREE_MONOID_LENGTH, args.force)
     config = RunConfig("free-monoid", {"length": args.length,
                                        "all_pairs": args.all_pairs})
     if args.all_pairs:
@@ -238,7 +240,7 @@ def cmd_free_monoid(args) -> int:
 
 
 def cmd_local_iso(args) -> int:
-    _check_radius(args.radius, MAX_BALL_RADIUS, args.force)
+    _check_cap("radius", args.radius, MAX_BALL_RADIUS, args.force)
     config = RunConfig("local-iso", {"radius": args.radius, "max_n": args.max_n})
     n = find_min_n_local_iso(args.radius, args.max_n)
     payload = {
@@ -275,9 +277,9 @@ def cmd_curves(args) -> int:
     return 0
 
 
-def _check_radius(radius: int, cap: int, force: bool) -> None:
-    if radius > cap and not force:
-        print(f"radius {radius} exceeds desk-scale cap {cap}; pass --force to override",
+def _check_cap(name: str, value: int, cap: int, force: bool) -> None:
+    if value > cap and not force:
+        print(f"{name} {value} exceeds desk-scale cap {cap}; pass --force to override",
               file=sys.stderr)
         raise SystemExit(2)
 
@@ -325,6 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("free-monoid", help="free-monoid witness checks")
     p.add_argument("--length", type=int, default=8)
     p.add_argument("--all-pairs", action="store_true")
+    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_free_monoid)
 
     p = add_parser("local-iso", help="least level matching the self-similar ball")

@@ -3,27 +3,52 @@
 Everything acts on the right: ``p.apply`` maps a point through a permutation,
 and ``p * q`` means "apply p, then q".  Canonical order on permutations is
 lexicographic on the image tuple, so "pick the least element" is well defined.
+
+Permutations are hash-consed: each image tuple is one :class:`Perm` object,
+interned in ``_PERMS``, so ``==`` and ``hash`` are identity's.  Only images
+given from outside are checked to be a bijection; a product reads its images
+through the left factor's ``operator.itemgetter`` and looks them up in the
+table, and an inverse is kept on the permutation once computed.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TypeVar
 
 DEGREE = 7
 POINTS = tuple(range(1, DEGREE + 1))
 
+_set = object.__setattr__  # Perm forbids assignment; the table fills slots this way
 
-@dataclass(frozen=True, order=True)
+
+@functools.total_ordering
 class Perm:
-    """A bijection of {1, ..., 7}, stored as its image tuple."""
+    """A bijection of {1, ..., 7}, stored as its image tuple.
 
-    images: tuple[int, ...]
+    ``Perm(images)`` returns the one object with these images, checking a
+    tuple it has not seen before.  Instances are immutable and ordered
+    lexicographically by ``images``.
+    """
 
-    def __post_init__(self):
-        if sorted(self.images) != list(POINTS):
-            raise ValueError(f"not a bijection of {POINTS}: {self.images}")
+    __slots__ = ("images", "_take", "_inverse")
+
+    def __new__(cls, images):
+        images = tuple(images)
+        p = _PERMS.get(images)
+        if p is None:
+            if sorted(images) != list(POINTS):
+                raise ValueError(f"not a bijection of {POINTS}: {images}")
+            p = _intern(images)
+        return p
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Perm is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Perm is immutable: cannot delete {name!r}")
 
     @staticmethod
     def identity() -> "Perm":
@@ -35,26 +60,30 @@ class Perm:
         for cycle in cycles:
             for i, pt in enumerate(cycle):
                 images[pt - 1] = cycle[(i + 1) % len(cycle)]
-        return Perm(tuple(images))
+        return Perm(images)
 
     def apply(self, point: int) -> int:
         return self.images[point - 1]
 
     def __mul__(self, other: "Perm") -> "Perm":
-        # apply self first, then other
-        return Perm(tuple(other.images[i - 1] for i in self.images))
+        # apply self first, then other: images[i] = other.images[self.images[i] - 1]
+        images = self._take(other.images)
+        return _PERMS.get(images) or _intern(images)
 
     def inverse(self) -> "Perm":
-        inv = _INVERSES.get(self)
+        inv = self._inverse
         if inv is None:
-            images = [0] * DEGREE
-            for i, v in enumerate(self.images):
-                images[v - 1] = i + 1
-            inv = _INVERSES[self] = Perm(tuple(images))
+            images = tuple(self.images.index(q) + 1 for q in POINTS)
+            inv = _PERMS.get(images) or _intern(images)
+            _set(self, "_inverse", inv)
+            _set(inv, "_inverse", self)
         return inv
 
     def is_identity(self) -> bool:
-        return self.images == _IDENTITY.images
+        return self is _IDENTITY
+
+    def __lt__(self, other):
+        return self.images < other.images if other.__class__ is Perm else NotImplemented
 
     def order(self) -> int:
         k, p = 1, self
@@ -85,9 +114,20 @@ class Perm:
         return f"Perm[{self.cycles()}]"
 
 
+_PERMS: dict[tuple[int, ...], Perm] = {}  # the intern table: images -> permutation
+
+
+def _intern(images: tuple[int, ...]) -> Perm:
+    """A new permutation for images that are a bijection and not yet interned."""
+    p = object.__new__(Perm)
+    _set(p, "images", images)
+    _set(p, "_take", itemgetter(*(i - 1 for i in images)))
+    _set(p, "_inverse", None)
+    _PERMS[images] = p
+    return p
+
+
 _IDENTITY = Perm(POINTS)
-# memo of Perm.inverse; it holds at most the 5040 permutations of 7 points
-_INVERSES: dict[Perm, Perm] = {}
 
 
 G = TypeVar("G")

@@ -11,10 +11,19 @@ differ when a parity homomorphism exists) is
 :func:`ball_sizes_exact_convention`, an integer walk over (member, parity)
 states on those edges.  All enumeration orders are (length, lexicographic),
 so geodesics and exports are reproducible.
+
+Once a sphere is finished, :func:`balls` calls ``gc.freeze()``, which moves
+every object the cyclic collector tracks, among them the interned elements,
+their node forms and the ball's member list and index, to its permanent
+generation, so later collections stop walking them.  The element graph only
+grows, so those walks never freed anything.  Freezing is safe because a ball
+search makes no cyclic garbage: whatever it drops is freed by reference
+counting, frozen or not.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 from array import array
 from dataclasses import dataclass
@@ -152,6 +161,7 @@ def balls(genset: GeneratingSet) -> Iterator[Ball]:
         start = end
         ball.radius += 1
         ball.sizes.append(len(members))
+        gc.freeze()  # the finished sphere leaves the cyclic collector's scans
 
 
 def enumerate_ball(genset: GeneratingSet, radius: int) -> Ball:

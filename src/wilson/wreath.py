@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fano import DEGREE, Perm
+from .fano import _PERMS, DEGREE, Perm
 
 STATE_BUDGET = 10**6  # the pairs one equality closure may hold
 
@@ -303,9 +303,11 @@ def clear_caches() -> None:
 
 
 def engine_stats() -> dict[str, int]:
-    """Node forms built, signature entries and interned elements."""
+    """Node forms built, signature entries, interned elements and interned
+    permutations."""
     return {
         "decompose_cache": sum(e.nf is not None for e in _ELEMENTS.values()),
         "signature_cache": sum(len(memo) for memo in _SIG_MEMO.values()),
         "elements": len(_ELEMENTS),
+        "perms": len(_PERMS),
     }

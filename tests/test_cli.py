@@ -141,6 +141,7 @@ USAGE_ERRORS = {
     19: (["local-iso", "--max-n", "0"], "max_n must be >= 1"),
     20: (["local-iso", "--max-n", "-3"], "max_n must be >= 1"),
     21: (["lambda", "--steps", "3", "--tol", "1e-17"], "floating-point floor"),
+    22: (["free-monoid", "--length", "13"], "length 13 exceeds desk-scale cap 12"),
 }
 
 

@@ -1,7 +1,11 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
+from wilson import fano
 from wilson.fano import (
+    POINTS,
     X,
     Y,
     Z,
@@ -105,3 +109,58 @@ def test_associativity(p, q, r):
 def test_inverse_law(p):
     assert (p.inverse() * p).is_identity()
     assert (p * p.inverse()).is_identity()
+
+
+# sha256 of the image tuples of psl32().sorted_elements(), from the frozen
+# dataclass that ordered permutations before they were hash-consed
+SORTED_IMAGES_SHA256 = "a1462f2f3dcaebbda94c11bb4cfad74dc087e869e077d14a5ddac03d00dbc738"
+
+
+@given(st.permutations(POINTS))
+def test_one_object_per_image_tuple(images):
+    p = Perm(tuple(images))
+    assert Perm(tuple(images)) is p
+    assert Perm(list(images)) is p
+    assert p.images == tuple(images)
+    assert (p == Perm(POINTS)) == (p.images == POINTS) == p.is_identity()
+    assert p.inverse().inverse() is p
+
+
+def test_products_match_the_image_formula():
+    for p in A_ELEMENTS:
+        for q in A_ELEMENTS:
+            images = tuple(q.images[i - 1] for i in p.images)
+            r = p * q
+            assert r.images == images
+            assert p * q is r is Perm(images)
+
+
+@pytest.mark.parametrize("images", [
+    (1, 1, 2, 3, 4, 5, 6),
+    (1, 2, 3),
+    (0, 1, 2, 3, 4, 5, 6),
+    (1, 2, 3, 4, 5, 6, 8),
+    (1, 2, 3, 4, 5, 6, 7, 8),
+])
+def test_non_bijection_raises(images):
+    with pytest.raises(ValueError, match="not a bijection"):
+        Perm(images)
+    assert images not in fano._PERMS
+
+
+def test_sorted_elements_order_unchanged():
+    order = A.sorted_elements()
+    assert order == sorted(A.elements, key=lambda p: p.images)
+    digest = hashlib.sha256(repr([p.images for p in order]).encode()).hexdigest()
+    assert digest == SORTED_IMAGES_SHA256
+    assert all(p < q and q > p and p <= q and not q <= p for p, q in zip(order, order[1:]))
+
+
+def test_perm_is_immutable():
+    for name in ("images", "_inverse", "other"):
+        with pytest.raises(AttributeError):
+            setattr(X, name, (1, 2, 3, 4, 5, 6, 7))
+    with pytest.raises(AttributeError):
+        del X.images
+    assert X.images == (5, 2, 7, 4, 1, 6, 3)
+    assert X.inverse() is X

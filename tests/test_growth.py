@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -236,3 +237,15 @@ def test_export_dot():
     assert dot.endswith("}\n")
     assert 'v0 [label="e"];' in dot
     assert dot.count(" -- ") >= 3
+
+
+def test_ball_search_makes_no_cyclic_garbage():
+    """``balls`` freezes each finished sphere out of the cyclic collector.
+    That is safe because a search leaves no reference cycles behind: what it
+    drops is freed by reference counting, frozen or not."""
+    gc.unfreeze()
+    gc.collect()
+    enumerate_ball(make_S(2), 8)
+    find_min_n_local_iso(4, 2)
+    gc.unfreeze()
+    assert gc.collect() == 0

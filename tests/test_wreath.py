@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wilson import wreath
+from wilson import fano, wreath
 from wilson.catalog import make_S, make_abar, make_tilde
 from wilson.fano import DEGREE, X, Y, Z, Perm
 from wilson.wreath import (
@@ -121,6 +121,7 @@ def test_engine_stats_counts():
         "decompose_cache": len(read),
         "signature_cache": len(read),
         "elements": len(wreath._ELEMENTS),
+        "perms": len(fano._PERMS),
     }
 
 
