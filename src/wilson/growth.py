@@ -12,13 +12,23 @@ differ when a parity homomorphism exists) is
 states on those edges.  All enumeration orders are (length, lexicographic),
 so geodesics and exports are reproducible.
 
-Once a sphere is finished, :func:`balls` calls ``gc.freeze()``, which moves
-every object the cyclic collector tracks, among them the interned elements,
-their node forms and the ball's member list and index, to its permanent
-generation, so later collections stop walking them.  The element graph only
-grows, so those walks never freed anything.  Freezing is safe because a ball
-search makes no cyclic garbage: whatever it drops is freed by reference
-counting, frozen or not.
+The cyclic collector is paused while a sphere is expanded and restored,
+whatever ends the sphere, to the state the caller left it in.  Once a sphere
+is finished, :func:`balls` calls ``gc.freeze()``, which moves every object
+the collector tracks, among them the interned elements, their node forms and
+the ball's member list and index, to its permanent generation, so later
+collections, those at interpreter exit included, stop walking them.  The
+element graph only grows, so those walks never freed anything.  Pausing and
+freezing are safe because a ball search makes no cyclic garbage: whatever it
+drops is freed by reference counting.  If the collector is on, the caller's
+own cyclic garbage is collected each time the generator resumes, before the
+next sphere, so no freeze keeps it; that collection walks only what the
+caller made since the last yield.  What the freeze cannot tell apart is a
+caller's object that is alive when a sphere ends and becomes cyclic garbage
+later: it stays in the permanent generation until ``gc.unfreeze()``.
+
+The :class:`Deduper` index maps each signature to one member's index, an
+``int``: members are added only after a lookup misses, so none share one.
 """
 
 from __future__ import annotations
@@ -41,36 +51,38 @@ class Deduper:
 
     The signature depth starts at ``START_SIG_DEPTH`` and is raised whenever
     an exact test distinguishes two digest-equal elements; the exact closure
-    test is always the authority, signatures only accelerate.
+    test is always the authority, signatures only accelerate.  The index maps
+    a signature to one member's index: ``add`` follows a miss of ``find``, so
+    no two members share a signature, and a deeper signature still tells
+    them apart, since it determines the shallower one.
     """
 
     def __init__(self):
         self.depth = START_SIG_DEPTH
         self.elements: list[Element] = []
-        self._index: dict[int, list[int]] = {}
+        self._index: dict[int, int] = {}
 
     def find(self, e: Element) -> int | None:
         while True:
-            bucket = self._index.get(signature(e, self.depth))
-            if not bucket:
+            i = self._index.get(signature(e, self.depth))
+            if i is None:
                 return None
-            for i in bucket:
-                if equals(e, self.elements[i]):
-                    return i
+            if equals(e, self.elements[i]):
+                return i
             # digest-equal but exactly distinct: refine and retry
             self.depth += 1
             self._rebuild()
 
     def add(self, e: Element) -> int:
+        """Append e, which a ``find`` has just missed, and index it."""
         idx = len(self.elements)
         self.elements.append(e)
-        self._index.setdefault(signature(e, self.depth), []).append(idx)
+        self._index[signature(e, self.depth)] = idx
         return idx
 
     def _rebuild(self) -> None:
-        self._index = {}
-        for i, m in enumerate(self.elements):
-            self._index.setdefault(signature(m, self.depth), []).append(i)
+        self._index = {signature(m, self.depth): i
+                       for i, m in enumerate(self.elements)}
 
 
 def _effective_symbols(genset: GeneratingSet):
@@ -145,19 +157,27 @@ def balls(genset: GeneratingSet) -> Iterator[Ball]:
     start = 0
     while True:
         yield ball
-        end = len(members)
-        for mid in range(start, end):
-            row = mid * k
-            for s, (_, el) in enumerate(syms):
-                if edges[row + s] >= 0:
-                    continue  # the backtrack entry, never a new geodesic
-                candidate = members[mid] * el
-                target = dedup.find(candidate)
-                if target is None:
-                    target = dedup.add(candidate)
-                    edges.extend(blank)
-                    edges[target * k + inverse_of[s]] = mid
-                edges[row + s] = target
+        enabled = gc.isenabled()
+        if enabled:
+            gc.collect()  # the caller's cyclic garbage, before a freeze could keep it
+        gc.disable()
+        try:
+            end = len(members)
+            for mid in range(start, end):
+                row = mid * k
+                for s, (_, el) in enumerate(syms):
+                    if edges[row + s] >= 0:
+                        continue  # the backtrack entry, never a new geodesic
+                    candidate = members[mid] * el
+                    target = dedup.find(candidate)
+                    if target is None:
+                        target = dedup.add(candidate)
+                        edges.extend(blank)
+                        edges[target * k + inverse_of[s]] = mid
+                    edges[row + s] = target
+        finally:
+            if enabled:
+                gc.enable()
         start = end
         ball.radius += 1
         ball.sizes.append(len(members))

@@ -10,11 +10,16 @@ object.  A product of two normal words is normalized only at the seam where
 they meet.  ``decompose`` turns an element into its node form
 ``<g_1,...,g_7> a`` (root permutation plus seven suffix sections), kept on
 the element, building it from the node form of the word without its last
-letter by the product rule.  ``equals`` is the one exact equality test:
-``g = h`` iff their roots agree and ``g_p = h_p`` at every point p, so it
-closes the pair ``(g, h)`` under taking sections.  The closure terminates
-because atom sections are again atoms or permutations, so section words
-never grow and only finitely many pairs of them are reachable.
+letter by the product rule.  An atom letter updates only the sections its
+atom has nontrivial (one or two of seven for the catalog's atoms, which are
+bounded automata), read from the atom's ``nontrivial`` table.  ``signature``
+reads an element's seven child signatures from the memo of the depth below
+in one C-level ``map`` and recurses only for the missing ones.  ``equals``
+is the one exact equality test: ``g = h`` iff their roots agree and
+``g_p = h_p`` at every point p, so it closes the pair ``(g, h)`` under
+taking sections.  The closure terminates because atom sections are again
+atoms or permutations, so section words never grow and only finitely many
+pairs of them are reachable.
 """
 
 from __future__ import annotations
@@ -38,15 +43,29 @@ class Atom:
     ``name^-1``; the two atoms are linked to each other, so a word cancels an
     atom against its inverse.  An atom becomes its own inverse only through
     ``certify_involution``, which first checks ``atom * atom == 1`` exactly.
+
+    Setting ``sections`` also sets ``nontrivial``, the ``(point index,
+    section)`` pairs of the sections with a nonempty word: the only ones
+    ``decompose`` visits.
     """
 
-    __slots__ = ("name", "root", "sections", "_inverse")
+    __slots__ = ("name", "root", "_sections", "nontrivial", "_inverse")
 
     def __init__(self, name: str, root: Perm, sections=None):
         self.name = name
         self.root = root
         self.sections = sections  # tuple of 7 Elements, may be filled in late
         self._inverse: Atom | None = None
+
+    @property
+    def sections(self):
+        return self._sections
+
+    @sections.setter
+    def sections(self, sections) -> None:
+        self._sections = sections
+        if sections is not None:  # until then ``decompose`` fails on the atom
+            self.nontrivial = tuple((q, s) for q, s in enumerate(sections) if s.letters)
 
     def inverse(self) -> "Atom":
         """The inverse of ``<g_p> a``: root ``a^-1``, section at q ``(g_{q.a^-1})^-1``."""
@@ -190,8 +209,12 @@ def decompose(e: Element) -> NodeForm:
     the node form of the word without its last letter when that word is
     interned and has one (a BFS candidate ``m * s`` finds ``m``'s there),
     else from the trivial node form.  A permutation letter changes only the
-    root; an atom letter joins its section onto each section it reaches, and
-    every other section is shared with the node form it started from.
+    root.  An atom letter visits only its nontrivial sections (``nontrivial``
+    on the atom, one or two of seven for the catalog's atoms): the section at
+    q reaches the point ``q.root^-1`` of the root folded so far, found
+    through the inverse kept on the permutation, and is joined onto the
+    section there.  Every other section is shared with the node form the
+    fold started from.
     """
     nf = e.nf
     if nf is not None:
@@ -208,13 +231,15 @@ def decompose(e: Element) -> NodeForm:
         if isinstance(letter, Perm):
             root = root * letter
             continue
-        new = list(secs)
-        for p, q in enumerate(root.images):
-            s = letter.sections[q - 1]
-            if s.letters:
+        pairs = letter.nontrivial
+        if pairs:
+            new = list(secs)
+            back = root.inverse().images  # section q lands on point q.root^-1
+            for q, s in pairs:
+                p = back[q] - 1
                 prev = secs[p].letters
                 new[p] = Element._wrap(_join(prev, s.letters)) if prev else s
-        secs = tuple(new)
+            secs = tuple(new)
         root = root * letter.root
     nf = e.nf = NodeForm(root, secs)
     return nf
@@ -269,12 +294,21 @@ def act(e: Element, s: str) -> str:
 # Signatures are hash-consed encodings of the action on all strings of length
 # <= depth: equal elements get equal signatures at every depth, and comparing
 # two signatures is O(1).  ``_SIG_MEMO[depth]`` maps an element to its
-# signature at that depth.
+# signature at that depth; ``_SIG_INTERN`` numbers the nodes (root, the seven
+# child signatures), keyed by the hash-consed root permutation itself.
 _SIG_MEMO: dict[int, dict[Element, int]] = {}
 _SIG_INTERN: dict[tuple, int] = {}
+_LEAVES = (-1,) * DEGREE  # the seven depth-0 signatures under a depth-1 node
 
 
 def signature(e: Element, depth: int) -> int:
+    """The signature of ``e`` at ``depth``.
+
+    The child signatures are read from the memo of the depth below in one
+    C-level ``map``; only children not found there are computed, by recursion.
+    A BFS candidate shares all but one or two sections with the member it
+    extends, whose children are already memoized.
+    """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if depth == 0:
@@ -285,8 +319,15 @@ def signature(e: Element, depth: int) -> int:
     sig = memo.get(e)
     if sig is None:
         nf = decompose(e)
-        node = (nf.root.images, tuple(signature(s, depth - 1) for s in nf.sections))
-        sig = memo[e] = _SIG_INTERN.setdefault(node, len(_SIG_INTERN))
+        if depth == 1:
+            children = _LEAVES
+        else:
+            below = _SIG_MEMO.setdefault(depth - 1, {})
+            children = tuple(map(below.get, nf.sections))
+            if None in children:
+                children = tuple(signature(s, depth - 1) if c is None else c
+                                 for s, c in zip(nf.sections, children))
+        sig = memo[e] = _SIG_INTERN.setdefault((nf.root, children), len(_SIG_INTERN))
     return sig
 
 

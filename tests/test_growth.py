@@ -1,5 +1,6 @@
 import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -19,9 +20,13 @@ from wilson.growth import (
     growth_estimates,
     sizes_csv_rows,
 )
-from wilson.wreath import Element, equals, is_identity, perm_element
+from wilson import wreath
+from wilson.catalog import make_abar
+from wilson.wreath import (Element, StateBudgetExceeded, equals, is_identity, perm_element,
+                           signature)
 
 from partition_oracle import least_levels, pairwise_ball_sizes, word_partition
+from test_wreath import truncated_bar
 
 # The plain group A on x, y, z: every word normalizes to one permutation, so
 # Element equality is group equality, and the group is finite with relators
@@ -49,6 +54,20 @@ def test_deduper_modes_agree():
         if found is None:
             dedup.add(e)
     assert len(dedup.elements) == 7
+
+
+def test_deduper_refines_a_shared_signature():
+    """A miss on a member's signature raises the depth and re-indexes the
+    members, one index per signature.  bar(x) cut below depth 3 differs from
+    bar(x) first on strings of length 5, so not at signature depth 3."""
+    t, xbar = truncated_bar(X, 3), make_abar(X)
+    assert signature(t, 3) == signature(xbar, 3) and not equals(t, xbar)
+    dedup = Deduper()
+    dedup.add(xbar)
+    assert dedup._index == {signature(xbar, 3): 0}
+    assert dedup.find(t) is None and dedup.depth > 3
+    assert dedup._index == {signature(xbar, dedup.depth): 0}
+    assert dedup.add(t) == 1 and dedup.find(t) == 1 and dedup.find(xbar) == 0
 
 
 def test_ball_radius_zero_and_one():
@@ -249,3 +268,82 @@ def test_ball_search_makes_no_cyclic_garbage():
     find_min_n_local_iso(4, 2)
     gc.unfreeze()
     assert gc.collect() == 0
+
+
+def test_ball_search_frees_the_callers_cyclic_garbage():
+    """Garbage the caller made before a search is collected when the search
+    resumes, before a sphere is frozen, so no freeze keeps it alive."""
+    class Node:
+        pass
+
+    refs = []
+    for _ in range(1000):
+        node = Node()
+        node.self = node
+        refs.append(weakref.ref(node))
+    del node
+    enumerate_ball(make_S(1), 3)
+    assert sum(ref() is not None for ref in refs) == 0
+
+
+def test_ball_search_keeps_callers_objects_that_die_later_frozen():
+    """A caller's cyclic structure that is alive when a sphere ends is frozen
+    with it: dropped after the search, only ``gc.unfreeze()`` lets the
+    collector free it."""
+    class Node:
+        pass
+
+    node = Node()
+    node.self = node
+    ref = weakref.ref(node)
+    enumerate_ball(make_S(1), 3)
+    del node
+    gc.collect()
+    assert ref() is not None
+    gc.unfreeze()
+    gc.collect()
+    assert ref() is None
+
+
+def test_ball_search_collects_nothing_with_the_collector_off():
+    """With the collector off, the search runs no collection of its own."""
+    runs = []
+
+    def count(phase, info):
+        runs.append(phase)
+
+    was = gc.isenabled()
+    gc.disable()
+    gc.callbacks.append(count)
+    try:
+        enumerate_ball(make_S(1), 3)
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if was else gc.disable)()
+    assert runs == []
+
+
+def test_collector_state_is_restored_after_an_error(monkeypatch):
+    """The collector is off only inside a sphere: an error there, or closing
+    the generator between spheres, leaves it as the caller had it.  With a
+    budget of one pair, the S:1 search fails in its sphere of radius 8 (the
+    closures of tilde's searches hold a single pair, so no budget trips them)."""
+    monkeypatch.setattr(wreath, "STATE_BUDGET", 1)
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            search = balls(make_S(1))
+            with pytest.raises(StateBudgetExceeded):
+                for ball in search:
+                    assert gc.isenabled() == enabled
+            assert ball.radius == 7
+            assert gc.isenabled() == enabled
+            search = balls(make_tilde())
+            next(search)
+            next(search)
+            assert gc.isenabled() == enabled
+            search.close()
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wilson import fano, wreath
-from wilson.catalog import make_S, make_abar, make_tilde
-from wilson.fano import DEGREE, X, Y, Z, Perm
+from wilson.catalog import (make_S, make_abar, make_base, make_free_quadruple,
+                            make_tilde)
+from wilson.fano import DEGREE, X, Y, Z, Perm, psl32
 from wilson.wreath import (
     Atom,
     Element,
@@ -38,6 +39,10 @@ W = atom_element(Atom("w", X * Y, (E, E, XBAR, E, E, YE, E)))
 ATOMS = [XE, YE, ZE, XBAR, YBAR, ZBAR, *S1.elements(), *TILDE.elements(),
          U4BAR, XYBAR, U4BAR.inverse(), W]
 atom_words = st.lists(st.sampled_from(ATOMS), max_size=6)
+# every inverse atom and the level-2 atoms besides, for the tests of the
+# sparse section updates and of the signature tables
+SPARSE_ATOMS = ATOMS + [XYBAR.inverse(), W.inverse(), *make_S(2).elements()]
+sparse_words = st.lists(st.sampled_from(SPARSE_ATOMS), max_size=6)
 
 
 def product(parts):
@@ -166,7 +171,7 @@ def letters_of(nf):
     return nf.root, tuple(s.letters for s in nf.sections)
 
 
-@given(atom_words)
+@given(sparse_words)
 @settings(max_examples=60, deadline=None)
 def test_decompose_matches_reference(ws):
     g = product(ws)
@@ -180,6 +185,40 @@ def test_decompose_matches_reference(ws):
         assert letters_of(decompose(g)) == expected
     finally:
         clear_caches()
+
+
+def reachable_atoms(elements):
+    """Every atom met in the words of ``elements``, their atoms' sections and
+    the inverses of all of them."""
+    seen = set()
+    stack = [letter for e in elements for letter in e.letters if isinstance(letter, Atom)]
+    while stack:
+        atom = stack.pop()
+        if atom in seen:
+            continue
+        seen.add(atom)
+        stack.append(atom.inverse())
+        stack += [letter for s in atom.sections for letter in s.letters
+                  if isinstance(letter, Atom)]
+    return seen
+
+
+def test_nontrivial_sections_table():
+    quad = make_free_quadruple()
+    roots = [*make_base().elements(), *TILDE.elements(), quad.a, quad.b, quad.c,
+             quad.d, *(make_abar(p) for p in psl32().sorted_elements()), U4BAR, XYBAR, W,
+             *(e for n in (1, 2, 3) for e in make_S(n).elements())]
+    atoms = reachable_atoms(roots)
+    assert len(atoms) > 170
+    for atom in atoms:
+        assert atom.nontrivial == tuple(
+            (q, s) for q, s in enumerate(atom.sections) if s.letters), atom
+    # a late assignment, as in a self-referential atom, sets the table too
+    late = Atom("late", X)
+    with pytest.raises(AttributeError):
+        decompose(atom_element(late))
+    late.sections = (E, XBAR, E, E, atom_element(late), E, E)
+    assert late.nontrivial == ((1, XBAR), (4, atom_element(late)))
 
 
 @given(atom_words, atom_words)
@@ -387,9 +426,35 @@ def test_equality_iff_signatures_agree(ws, hs):
     assert eq == sig_eq
 
 
+def reference_signature(e, depth):
+    """The portrait of ``e`` down to ``depth``: the nested tuple of roots, read
+    through ``reference_decompose``.  No cache is read."""
+    if depth == 0:
+        return ()
+    nf = reference_decompose(e)
+    return nf.root, tuple(reference_signature(s, depth - 1) for s in nf.sections)
+
+
 # nonempty words of the identity, so that equal elements with distinct words occur
 RELATORS = [(XE * YBAR) ** 4, (TILDE.elements()[0] * TILDE.elements()[1]) ** 4,
             (make_S(2).elements()[1] * TILDE.elements()[1]) ** 2]
+
+
+@given(sparse_words, sparse_words, st.sampled_from(RELATORS), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_signature_matches_reference(ws, hs, r, depth):
+    g, h = product(ws), product(hs)
+    try:
+        for a, b in ((g, h), (g, g * r), (r * h, h)):
+            for warm in (False, True):
+                clear_caches()
+                if warm:  # a's node reads its children by ``map``, b's may recurse
+                    for s in decompose(a).sections:
+                        signature(s, depth - 1)
+                assert (signature(a, depth) == signature(b, depth)) == (
+                    reference_signature(a, depth) == reference_signature(b, depth))
+    finally:
+        clear_caches()
 
 
 @given(atom_words, atom_words, st.sampled_from(RELATORS))
