@@ -24,6 +24,7 @@ MAX_BISECTIONS = 200
 RESIDUAL_ULPS = 16
 CURVE_STEP = 0.01
 CURVE_POINTS = 99
+LOG_30 = math.log(30.0)
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ def log_g_eta(eta: float) -> float:
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
     return (
-        eta * math.log(30.0)
+        eta * LOG_30
         - eta * math.log(eta)
         - (1.0 - eta) * math.log(1.0 - eta)
     )
@@ -54,8 +55,8 @@ def g_eta(eta: float) -> float:
 
 def solve_crossing(lam: float, tol: float = DEFAULT_TOL, n: int = 0) -> EtaStep:
     """The unique eta in (0, 1) with lam^(1-eta) = g(eta), by bisection."""
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be > 0 and finite, got {tol}")
     if lam <= 1.0 + tol:
         raise ValueError(f"lambda must exceed 1 + tol, got {lam}")
     if lam > LAMBDA_CAP:
@@ -67,9 +68,15 @@ def solve_crossing(lam: float, tol: float = DEFAULT_TOL, n: int = 0) -> EtaStep:
             f"of the crossing residual at lambda {lam}"
         )
     log_lam = math.log(lam)
+    log = math.log
 
     def h(eta: float) -> float:
-        return log_g_eta(eta) - (1.0 - eta) * log_lam
+        # log_g_eta(eta) - (1 - eta) * log_lam, inlined with the same float
+        # operations in the same order: eta stays inside (0, 1) here
+        return (
+            eta * LOG_30 - eta * log(eta) - (1.0 - eta) * log(1.0 - eta)
+            - (1.0 - eta) * log_lam
+        )
 
     lo, hi = ETA_LO, ETA_HI
     if h(lo) >= 0.0 or h(hi) <= 0.0:

@@ -190,9 +190,15 @@ def conjugacy_classes(group: PermGroup) -> list[frozenset[Perm]]:
 
 
 def is_perfect(group: PermGroup) -> bool:
-    """True iff the group equals the closure of its commutators."""
-    comms = {commutator(g, h) for g in group.elements for h in group.elements}
-    return closure(comms).elements == group.elements
+    """True iff the group equals its commutator subgroup.
+
+    [G, G] is the normal closure of the generators' commutators: modulo that
+    normal subgroup the generators commute, so the quotient is abelian.  The
+    group's ``generators`` must generate it, as ``closure`` makes them.
+    """
+    comms = {commutator(x, y) for x in group.generators for y in group.generators}
+    derived = closure({conjugate(c, g) for c in comms for g in group.elements})
+    return derived.elements == group.elements
 
 
 def is_simple(group: PermGroup) -> bool:

@@ -9,6 +9,7 @@ number at most 30 for every length.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator
 
@@ -22,9 +23,6 @@ DELTA = (
     "bacbabcab",
     "cbacbcabc",
 )
-
-_MAX_PATTERN = max(len(p) for p in DELTA)
-_WINDOW = _MAX_PATTERN - 1  # suffix length that determines future matches
 
 
 def reduced_words(n: int) -> Iterator[str]:
@@ -65,30 +63,66 @@ def count_delta_occurrences(w: str) -> int:
     return total
 
 
-def count_delta_free(n: int) -> int:
-    """Exact count of pattern-free reduced words via a suffix-window walk.
+@functools.cache
+def pattern_automaton() -> tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]:
+    """The Aho-Corasick automaton of ``DELTA``, restricted to reduced words,
+    as ``(states, step)``.
 
-    State = last min(len, 8) letters of a pattern-free reduced word; linear
-    memory in the number of reachable states, linear time in n.
+    The states are the proper prefixes of the patterns, numbered in sorted
+    order, so state 0 is the empty word.  A pattern-free reduced word sits in
+    the state of its longest suffix that is such a prefix; every letter begins
+    a pattern, so a nonempty word's state ends in its last letter.
+    ``step[s][i]`` is the state after appending ``ALPHABET[i]``, or -1 when
+    that letter repeats the last one or completes a pattern.  Built on first
+    call, so importing this module builds nothing.
+    """
+    states = tuple(sorted({p[:k] for p in DELTA for k in range(len(p))}))
+    index = {w: i for i, w in enumerate(states)}
+
+    def target(state: str, ch: str) -> int:
+        if state.endswith(ch):
+            return -1
+        grown = state + ch
+        if any(grown.endswith(p) for p in DELTA):
+            return -1
+        return next(index[grown[k:]] for k in range(len(grown) + 1)
+                    if grown[k:] in index)
+
+    step = tuple(tuple(target(w, ch) for ch in ALPHABET) for w in states)
+    return states, step
+
+
+def _walk() -> Iterator[int]:
+    """Counts of pattern-free reduced words for n = 0, 1, 2, ...: one
+    transfer step over the automaton per length."""
+    _, step = pattern_automaton()
+    successors = [tuple(t for t in row if t >= 0) for row in step]
+    words = [1] + [0] * (len(step) - 1)  # words of the current length, by state
+    while True:
+        yield sum(words)
+        grown = [0] * len(step)
+        for state, cnt in enumerate(words):
+            if cnt:
+                for t in successors[state]:
+                    grown[t] += cnt
+        words = grown
+
+
+_COUNTS: list[int] = []  # _COUNTS[n] = count_delta_free(n), extended on demand
+_LENGTHS = _walk()
+
+
+def count_delta_free(n: int) -> int:
+    """Exact count of pattern-free reduced words of length n.
+
+    One walk over the pattern automaton serves every call: the counts by
+    length are kept, so all calls for n <= N together take N steps.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1
-    states: dict[str, int] = {ch: 1 for ch in ALPHABET}
-    for _ in range(n - 1):
-        nxt: dict[str, int] = {}
-        for suffix, cnt in states.items():
-            for ch in ALPHABET:
-                if suffix[-1] == ch:
-                    continue
-                grown = suffix + ch
-                if any(p in grown for p in DELTA if len(p) <= len(grown)):
-                    continue
-                key = grown[-_WINDOW:]
-                nxt[key] = nxt.get(key, 0) + cnt
-        states = nxt
-    return sum(states.values())
+    while len(_COUNTS) <= n:
+        _COUNTS.append(next(_LENGTHS))
+    return _COUNTS[n]
 
 
 def verify_lemma30(max_n: int) -> dict:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +7,10 @@ from hypothesis import given, strategies as st
 from wilson.bounds import (
     DEFAULT_TOL,
     ETA_HI,
+    ETA_LO,
+    MAX_BISECTIONS,
     RESIDUAL_ULPS,
+    EtaStep,
     curve_rows,
     eval_growth_bound,
     g_eta,
@@ -54,6 +58,43 @@ def test_solve_crossing_rejects_tol_below_float_floor():
     with pytest.raises(ValueError, match="floating-point floor"):
         lambda_sequence(3, tol=1e-17)
     assert solve_crossing(2.0, tol=floor).residual <= floor
+
+
+def test_solve_crossing_rejects_non_finite_tol():
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol must be > 0 and finite"):
+            solve_crossing(2.0, tol=tol)
+
+
+def solve_crossing_reference(lam, n):
+    """The bisection of ``solve_crossing`` with its inner function built on
+    ``log_g_eta``, for inputs that pass its checks."""
+    log_lam = math.log(lam)
+
+    def h(eta):
+        return log_g_eta(eta) - (1.0 - eta) * log_lam
+
+    lo, hi = ETA_LO, ETA_HI
+    for _ in range(MAX_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if h(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    eta = 0.5 * (lo + hi)
+    lambda_next = lam ** (1.0 - eta)
+    return EtaStep(n, lam, eta, lambda_next, abs(lambda_next - g_eta(eta)))
+
+
+def test_solve_crossing_is_bit_identical_to_reference():
+    for step in lambda_sequence(200):
+        assert step == solve_crossing_reference(step.lambda_n, step.n)
+    rng = random.Random(30)
+    lams = [2.0, 31.0, 1.0 + 1e-9] + [rng.uniform(1.0, 31.0) for _ in range(50)]
+    for lam in lams:
+        assert solve_crossing(lam) == solve_crossing_reference(lam, 0)
 
 
 @given(st.floats(min_value=1.0 + 1e-9, max_value=31.0))

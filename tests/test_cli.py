@@ -142,6 +142,7 @@ USAGE_ERRORS = {
     20: (["local-iso", "--max-n", "-3"], "max_n must be >= 1"),
     21: (["lambda", "--steps", "3", "--tol", "1e-17"], "floating-point floor"),
     22: (["free-monoid", "--length", "13"], "length 13 exceeds desk-scale cap 12"),
+    23: (["lambda", "--tol", "inf"], "tol must be > 0 and finite, got inf"),
 }
 
 

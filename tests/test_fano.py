@@ -11,6 +11,7 @@ from wilson.fano import (
     Z,
     Perm,
     closure,
+    commutator,
     find_fix_move,
     find_swappers,
     is_perfect,
@@ -70,6 +71,21 @@ def test_small_subgroups():
     assert not is_perfect(cx)
     assert is_simple(cx)  # prime order
     assert not is_two_transitive(closure({Perm.identity()}))
+
+
+def is_perfect_all_pairs(group):
+    """Oracle: the closure of all |G|^2 commutators is the whole group."""
+    comms = {commutator(g, h) for g in group.elements for h in group.elements}
+    return closure(comms).elements == group.elements
+
+
+def test_is_perfect_matches_all_pairs_oracle():
+    stabilizer = closure(g for g in A.elements if g.apply(1) == 1)
+    assert stabilizer.size == 24
+    groups = [A, closure({X}), closure({X, Y}), stabilizer, closure({Perm.identity()})]
+    verdicts = [is_perfect(g) for g in groups]
+    assert verdicts == [is_perfect_all_pairs(g) for g in groups]
+    assert verdicts == [True, False, False, False, True]
 
 
 def test_xy_yz_generate_everything():

@@ -4,16 +4,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wilson.words import (
+    ALPHABET,
     DELTA,
     contains_delta,
     count_delta_free,
     count_delta_occurrences,
     finite_bound_F_less,
+    pattern_automaton,
     reduced_words,
     verify_lemma30,
 )
 
-from words_oracle import count_delta_free_naive
+from words_oracle import count_delta_free_naive, count_delta_free_window
 
 
 def count_reduced(n: int) -> int:
@@ -70,12 +72,72 @@ def test_counters_agree():
         assert count_delta_free(n) == count_delta_free_naive(n)
 
 
+def test_window_walk_agrees():
+    for n in range(121):
+        assert count_delta_free(n) == count_delta_free_window(n)
+
+
+def successors(step):
+    return [{t for t in row if t >= 0} for row in step]
+
+
+def reachable(succ, s):
+    seen, todo = set(), [s]
+    while todo:
+        for v in succ[todo.pop()] - seen:
+            seen.add(v)
+            todo.append(v)
+    return seen
+
+
+def test_automaton_states():
+    states, step = pattern_automaton()
+    assert len(states) == 28
+    assert states[0] == ""
+    assert set(states) == {p[:k] for p in DELTA for k in range(len(p))}
+    for w, row in zip(states, step):
+        for ch, t in zip(ALPHABET, row):
+            if w.endswith(ch) or any((w + ch).endswith(p) for p in DELTA):
+                assert t == -1
+            else:
+                # the longest suffix of w + ch that is a proper pattern prefix
+                assert (w + ch).endswith(states[t]) and states[t]
+                assert not any((w + ch)[k:] in states
+                               for k in range(len(w) + 1 - len(states[t])))
+
+
+def test_automaton_live_part_is_disjoint_simple_cycles():
+    # groundwork for a certificate of Lemma 30 for every n: the live states
+    # (those on an infinite pattern-free reduced word) lead into cycles that
+    # never branch and never reach one another
+    _, step = pattern_automaton()
+    succ = successors(step)
+    reach = [reachable(succ, s) for s in range(len(step))]
+    assert reach[0] | {0} == set(range(len(step)))
+    cyclic = {s for s in range(len(step)) if s in reach[s]}
+    live = {s for s in range(len(step)) if s in cyclic or reach[s] & cyclic}
+    trimmed = [succ[s] & live for s in range(len(step))]
+    components = {frozenset(t for t in reach[s] if s in reach[t]) for s in cyclic}
+    for comp in components:
+        assert all(len(trimmed[s] & comp) == 1 for s in comp)  # a simple cycle
+        assert all(reach[s] & cyclic <= comp for s in comp)  # reaches no other
+    assert len(live) == 19
+    assert sorted(len(comp) for comp in components) == [3, 3]
+
+
 def test_lemma30():
     report = verify_lemma30(40)
     assert report["all_at_most_30"]
     assert report["max_count"] <= 30
     assert report["plateau"] == 24
     assert report["counts"][:10] == [1, 3, 6, 9, 12, 15, 18, 21, 24, 24]
+
+
+def test_lemma30_far_out():
+    # linear total work: a walk that restarted for each n would take seconds
+    report = verify_lemma30(5000)
+    assert report["plateau"] == 24
+    assert report["all_at_most_30"]
 
 
 def test_finite_bound_example():
