@@ -7,7 +7,6 @@ from .fano import Perm, PermGroup, closure, psl32, X, Y, Z
 from .wreath import (
     Atom,
     Element,
-    NodeForm,
     StateBudgetExceeded,
     act,
     decompose,

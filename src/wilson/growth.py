@@ -61,11 +61,14 @@ class Deduper:
         self.depth = START_SIG_DEPTH
         self.elements: list[Element] = []
         self._index: dict[int, int] = {}
+        self._missed = self._missed_sig = None  # the last miss at this depth
 
     def find(self, e: Element) -> int | None:
         while True:
-            i = self._index.get(signature(e, self.depth))
+            sig = signature(e, self.depth)
+            i = self._index.get(sig)
             if i is None:
+                self._missed, self._missed_sig = e, sig
                 return None
             if equals(e, self.elements[i]):
                 return i
@@ -74,13 +77,16 @@ class Deduper:
             self._rebuild()
 
     def add(self, e: Element) -> int:
-        """Append e, which a ``find`` has just missed, and index it."""
+        """Append e, which a ``find`` has just missed, and index it under
+        the signature that miss computed."""
+        sig = self._missed_sig if e is self._missed else signature(e, self.depth)
         idx = len(self.elements)
         self.elements.append(e)
-        self._index[signature(e, self.depth)] = idx
+        self._index[sig] = idx
         return idx
 
     def _rebuild(self) -> None:
+        self._missed = None  # its signature was taken at the old depth
         self._index = {signature(m, self.depth): i
                        for i, m in enumerate(self.elements)}
 
@@ -193,25 +199,25 @@ def enumerate_ball(genset: GeneratingSet, radius: int) -> Ball:
             return ball
 
 
-def ball_sizes(genset: GeneratingSet, rmax: int) -> list[int]:
-    if rmax < 1:
-        raise ValueError("rmax must be >= 1")
-    return enumerate_ball(genset, rmax).sizes
+def ball_sizes(genset: GeneratingSet, radius: int) -> list[int]:
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    return enumerate_ball(genset, radius).sizes
 
 
-def ball_sizes_exact_convention(genset: GeneratingSet, rmax: int) -> list[int]:
+def ball_sizes_exact_convention(genset: GeneratingSet, radius: int) -> list[int]:
     """Sizes under the "products of exactly n generators" reading.
 
     An element counts at radius n iff it has a word of length n, i.e. a word
     of length <= n of the same parity (S = S^-1, so ``s s^-1`` pads a word
     by two).  The search walks (member, parity) states over the rows of the
-    ball of radius ``rmax``: a path of length d <= rmax never leaves the
-    ball of radius d, and states of depth ``rmax`` are never expanded, so
-    every row the walk reads is complete.
+    ball of the given radius R: a path of length d <= R never leaves the ball
+    of radius d, and states of depth R are never expanded, so every row the
+    walk reads is complete.
     """
-    if rmax < 1:
-        raise ValueError("rmax must be >= 1")
-    ball = enumerate_ball(genset, rmax)
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    ball = enumerate_ball(genset, radius)
     edges = ball.edges
     k = len(ball.symbol_names)
     # reached[p][m]: member m has a word of parity p no longer than the depth
@@ -219,7 +225,7 @@ def ball_sizes_exact_convention(genset: GeneratingSet, rmax: int) -> list[int]:
     reached[0][0] = 1
     sizes = [1]
     frontier = [0]
-    for depth in range(1, rmax + 1):
+    for depth in range(1, radius + 1):
         seen = reached[depth % 2]
         new = []
         for mid in frontier:

@@ -4,27 +4,27 @@ An :class:`Element` is a normalized word whose letters are plain root
 permutations (:class:`~wilson.fano.Perm`) and named recursive atoms
 (:class:`Atom`).  The inverse of an atom is again an atom, built once and
 cached, and an atom certified as an involution is its own inverse, so a word
-never carries exponents.  Elements are hash-consed: each normal word is one
-object, so two elements have the same word exactly when they are the same
-object.  A product of two normal words is normalized only at the seam where
-they meet.  ``decompose`` turns an element into its node form
-``<g_1,...,g_7> a`` (root permutation plus seven suffix sections), kept on
-the element, building it from the node form of the word without its last
-letter by the product rule.  An atom letter updates only the sections its
-atom has nontrivial (one or two of seven for the catalog's atoms, which are
-bounded automata), read from the atom's ``nontrivial`` table.  ``signature``
-reads an element's seven child signatures from the memo of the depth below
-in one C-level ``map`` and recurses only for the missing ones.  ``equals``
-is the one exact equality test: ``g = h`` iff their roots agree and
-``g_p = h_p`` at every point p, so it closes the pair ``(g, h)`` under
-taking sections.  The closure terminates because atom sections are again
-atoms or permutations, so section words never grow and only finitely many
-pairs of them are reachable.
+never carries exponents.  Elements are the hash-consed nodes of one prefix
+trie: an element holds the element of its word without the last letter and
+that letter, so each normal word is one object and two elements have the
+same word exactly when they are the same object.  A word is normalized one
+letter at a time as it is pushed onto the trie, and a product pushes the
+letters of its right factor onto its left factor, so it is normalized only at
+the seam where they meet.  ``decompose`` fills in an element's node form
+``<g_1,...,g_7> a`` (root permutation plus seven suffix sections) in slots of
+the element itself, building it from the node form of the element's prefix
+by the product rule.  An atom letter updates only the sections its atom has
+nontrivial (one or two of seven for the catalog's atoms, which are bounded
+automata), read from the atom's ``nontrivial`` table.  ``signature`` reads an
+element's seven child signatures from the memo of the depth below in one
+C-level ``map`` and recurses only for the missing ones.  ``equals`` is the
+one exact equality test: ``g = h`` iff their roots agree and ``g_p = h_p`` at
+every point p, so it closes the pair ``(g, h)`` under taking sections.  The
+closure terminates because atom sections are again atoms or permutations, so
+section words never grow and only finitely many pairs of them are reachable.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .fano import _PERMS, DEGREE, Perm
 
@@ -65,7 +65,7 @@ class Atom:
     def sections(self, sections) -> None:
         self._sections = sections
         if sections is not None:  # until then ``decompose`` fails on the atom
-            self.nontrivial = tuple((q, s) for q, s in enumerate(sections) if s.letters)
+            self.nontrivial = tuple((q, s) for q, s in enumerate(sections) if s is not _E)
 
     def inverse(self) -> "Atom":
         """The inverse of ``<g_p> a``: root ``a^-1``, section at q ``(g_{q.a^-1})^-1``."""
@@ -95,82 +95,83 @@ class Atom:
         return self.name
 
 
-def _join(left: tuple, right: tuple) -> tuple:
-    """The normal form of ``left + right`` for two words that are both normal
-    under the current inverse links.
-
-    Only the seam can reduce: working inward, an atom cancels against its
-    inverse and two permutations fold, until a pair does not reduce.  A fold
-    to a non-identity permutation ends the cascade, because a normal word has
-    no two permutations side by side.  The rewriting is confluent, so the
-    result is the normal form of the concatenation.
-    """
-    i, j = len(left), 0
-    while i and j < len(right):
-        x, y = left[i - 1], right[j]
-        if isinstance(x, Perm):
-            if not isinstance(y, Perm):
-                break
-            folded = x * y
-            if not folded.is_identity():
-                return left[:i - 1] + (folded,) + right[j + 1:]
-        elif x._inverse is not y:
-            break
-        i -= 1
-        j += 1
-    return left[:i] + right[j:]
-
-
-def _normalize(letters) -> tuple:
-    """The normal form of any word: ``_join`` folded over its letters, each a
-    one-letter normal word once identity permutations are dropped."""
-    out = ()
-    for letter in letters:
-        if not (isinstance(letter, Perm) and letter.is_identity()):
-            out = _join(out, (letter,))
-    return out
-
-
 class Element:
     """A group element as a canonical word of atoms and folded permutations.
 
-    Elements are hash-consed: each normal word is one object, interned in
-    ``_ELEMENTS`` by its letters, so ``==`` and ``hash`` are identity's.  The
-    slot ``nf`` holds the element's node form once ``decompose`` has built it.
+    Elements are the nodes of one hash-consed prefix trie: ``prefix`` is the
+    element of the word without its last letter and ``last`` is that letter;
+    the empty word, the root of the trie, has neither.  ``_ELEMENTS`` interns
+    each node by ``(prefix, last)``, so each normal word is one object and
+    ``==`` and ``hash`` are identity's.  ``root`` and ``sections`` hold the
+    node form once ``decompose`` has built it; ``sections`` is None until then.
     """
 
-    __slots__ = ("letters", "nf")
+    __slots__ = ("prefix", "last", "root", "sections")
 
     def __new__(cls, letters=()):
-        return cls._wrap(_normalize(letters))
+        e = _E
+        for letter in letters:
+            e = e._push(letter)
+        return e
 
-    @classmethod
-    def _wrap(cls, letters: tuple) -> "Element":
-        """The element of a word that is already normal, with no second pass."""
-        e = _ELEMENTS.get(letters)
+    def _push(self, letter) -> "Element":
+        """The normal word of this one followed by ``letter``.
+
+        Only the seam can reduce: a permutation folds into a trailing
+        permutation, and to the prefix if it folds to the identity; an atom
+        cancels against the atom it is linked to as inverse.  Any other letter
+        makes or finds the child.  The rewriting is confluent, so pushing any
+        word letter by letter gives its normal form.
+        """
+        node, last = self, self.last
+        if letter.__class__ is Perm:
+            if last.__class__ is Perm:
+                node, letter = self.prefix, last * letter
+            if letter is _ID:
+                return node
+        elif last is not None and last._inverse is letter:
+            return self.prefix
+        key = (node, letter)
+        e = _ELEMENTS.get(key)
         if e is None:
-            e = object.__new__(cls)
-            e.letters = letters
-            e.nf = None
-            _ELEMENTS[letters] = e
+            e = object.__new__(Element)
+            e.prefix, e.last, e.root, e.sections = node, letter, None, None
+            _ELEMENTS[key] = e
         return e
 
     def __mul__(self, other: "Element") -> "Element":
-        return Element._wrap(_join(self.letters, other.letters))
+        if other.prefix is _E:  # one letter: every BFS product
+            return self._push(other.last)
+        e = self
+        for letter in other.letters:
+            e = e._push(letter)
+        return e
+
+    @property
+    def letters(self) -> tuple:
+        """The word, read up the prefix chain in a loop (a word may be longer
+        than the recursion limit)."""
+        out = []
+        e = self
+        while e is not _E:
+            out.append(e.last)
+            e = e.prefix
+        out.reverse()
+        return tuple(out)
 
     def inverse(self) -> "Element":
-        return Element(tuple(letter.inverse() for letter in reversed(self.letters)))
+        return Element(letter.inverse() for letter in reversed(self.letters))
 
     def __pow__(self, k: int) -> "Element":
         if k < 0:
             return self.inverse() ** (-k)
-        acc = Element()
+        acc = _E
         for _ in range(k):
             acc = acc * self
         return acc
 
     def __repr__(self):
-        if not self.letters:
+        if self is _E:
             return "e"
         return ".".join(
             letter.cycles() if isinstance(letter, Perm) else letter.name
@@ -178,7 +179,12 @@ class Element:
         )
 
 
-_ELEMENTS: dict[tuple, Element] = {}  # the intern table: letters -> element
+_ELEMENTS: dict[tuple, Element] = {}  # the intern table: (prefix, last) -> element
+_E = object.__new__(Element)  # the empty word, the root of the trie
+_E.prefix = _E.last = _E.root = _E.sections = None
+_ELEMENTS[None, None] = _E
+_ID = Perm.identity()
+_TRIVIAL = (_E,) * DEGREE  # the sections of the trivial node form
 
 
 def perm_element(p: Perm) -> Element:
@@ -189,46 +195,30 @@ def atom_element(a: Atom) -> Element:
     return Element((a,))
 
 
-@dataclass(frozen=True, slots=True)
-class NodeForm:
-    """Wreath decomposition: a root permutation and 7 suffix sections."""
+def decompose(e: Element) -> Element:
+    """Fill in the node form of ``e`` and return ``e``.  The node form is
+    ``e.root`` and ``e.sections``, folded letter by letter with the product
+    rule ``(gh)_p = g_p * h_{p.root(g)}``.
 
-    root: Perm
-    sections: tuple[Element, ...]
-
-
-_E = Element()
-_TRIVIAL = NodeForm(Perm.identity(), (_E,) * DEGREE)
-
-
-def decompose(e: Element) -> NodeForm:
-    """Node form of ``e``, folded letter by letter with the product rule
-    ``(gh)_p = g_p * h_{p.root(g)}``.
-
-    The node form is kept on the element (``e.nf``).  The fold starts from
-    the node form of the word without its last letter when that word is
-    interned and has one (a BFS candidate ``m * s`` finds ``m``'s there),
-    else from the trivial node form.  A permutation letter changes only the
-    root.  An atom letter visits only its nontrivial sections (``nontrivial``
-    on the atom, one or two of seven for the catalog's atoms): the section at
-    q reaches the point ``q.root^-1`` of the root folded so far, found
-    through the inverse kept on the permutation, and is joined onto the
-    section there.  Every other section is shared with the node form the
-    fold started from.
+    The fold starts from the node form of ``e.prefix`` when that has one (a
+    BFS candidate ``m * s`` has the member m as its prefix) and takes in the
+    last letter, else it starts from the trivial node form and takes in every
+    letter.  A permutation letter changes only the root.  An atom letter
+    visits only its nontrivial sections (``nontrivial`` on the atom, one or
+    two of seven for the catalog's atoms): the section at q reaches the point
+    ``q.root^-1`` of the root folded so far, found through the inverse kept
+    on the permutation, and is multiplied onto the section there.  Every
+    other section is shared with the node form the fold started from.
     """
-    nf = e.nf
-    if nf is not None:
-        return nf
-    letters = e.letters
-    prefix = _ELEMENTS.get(letters[:-1]) if letters else None
-    start = prefix.nf if prefix is not None else None
-    if start is None:
-        start, rest = _TRIVIAL, letters
+    if e.sections is not None:
+        return e
+    prefix = e.prefix
+    if prefix is not None and prefix.sections is not None:
+        root, secs, rest = prefix.root, prefix.sections, (e.last,)
     else:
-        rest = letters[-1:]
-    root, secs = start.root, start.sections
+        root, secs, rest = _ID, _TRIVIAL, e.letters
     for letter in rest:
-        if isinstance(letter, Perm):
+        if letter.__class__ is Perm:
             root = root * letter
             continue
         pairs = letter.nontrivial
@@ -237,12 +227,12 @@ def decompose(e: Element) -> NodeForm:
             back = root.inverse().images  # section q lands on point q.root^-1
             for q, s in pairs:
                 p = back[q] - 1
-                prev = secs[p].letters
-                new[p] = Element._wrap(_join(prev, s.letters)) if prev else s
+                prev = secs[p]
+                new[p] = s if prev is _E else prev * s
             secs = tuple(new)
         root = root * letter.root
-    nf = e.nf = NodeForm(root, secs)
-    return nf
+    e.root, e.sections = root, secs
+    return e
 
 
 def equals(g: Element, h: Element) -> bool:
@@ -294,8 +284,9 @@ def act(e: Element, s: str) -> str:
 # Signatures are hash-consed encodings of the action on all strings of length
 # <= depth: equal elements get equal signatures at every depth, and comparing
 # two signatures is O(1).  ``_SIG_MEMO[depth]`` maps an element to its
-# signature at that depth; ``_SIG_INTERN`` numbers the nodes (root, the seven
-# child signatures), keyed by the hash-consed root permutation itself.
+# signature at that depth; ``_SIG_INTERN`` numbers the nodes, each keyed by
+# one flat tuple: the hash-consed root permutation, then the seven child
+# signatures.
 _SIG_MEMO: dict[int, dict[Element, int]] = {}
 _SIG_INTERN: dict[tuple, int] = {}
 _LEAVES = (-1,) * DEGREE  # the seven depth-0 signatures under a depth-1 node
@@ -318,16 +309,16 @@ def signature(e: Element, depth: int) -> int:
         memo = _SIG_MEMO[depth] = {}
     sig = memo.get(e)
     if sig is None:
-        nf = decompose(e)
+        decompose(e)
         if depth == 1:
-            children = _LEAVES
+            key = (e.root, *_LEAVES)
         else:
             below = _SIG_MEMO.setdefault(depth - 1, {})
-            children = tuple(map(below.get, nf.sections))
-            if None in children:
-                children = tuple(signature(s, depth - 1) if c is None else c
-                                 for s, c in zip(nf.sections, children))
-        sig = memo[e] = _SIG_INTERN.setdefault((nf.root, children), len(_SIG_INTERN))
+            key = (e.root, *map(below.get, e.sections))
+            if None in key:
+                key = (e.root, *(signature(s, depth - 1) if c is None else c
+                                 for s, c in zip(e.sections, key[1:])))
+        sig = memo[e] = _SIG_INTERN.setdefault(key, len(_SIG_INTERN))
     return sig
 
 
@@ -338,7 +329,7 @@ def clear_caches() -> None:
     elements, and identity equality needs one object per word.
     """
     for e in _ELEMENTS.values():
-        e.nf = None
+        e.sections = None
     _SIG_MEMO.clear()
     _SIG_INTERN.clear()
 
@@ -347,7 +338,7 @@ def engine_stats() -> dict[str, int]:
     """Node forms built, signature entries, interned elements and interned
     permutations."""
     return {
-        "decompose_cache": sum(e.nf is not None for e in _ELEMENTS.values()),
+        "decompose_cache": sum(e.sections is not None for e in _ELEMENTS.values()),
         "signature_cache": sum(len(memo) for memo in _SIG_MEMO.values()),
         "elements": len(_ELEMENTS),
         "perms": len(_PERMS),

@@ -125,7 +125,7 @@ def test_radius_cap(capsys):
 USAGE_ERRORS = {
     0: (["lemma30", "--max-n", "0"], "max_n must be >= 1"),
     1: (["lambda", "--steps", "0"], "steps must be >= 1"),
-    2: (["growth", "--radius", "0"], "rmax must be >= 1"),
+    2: (["growth", "--radius", "0"], "radius must be >= 1"),
     3: (["ball", "--radius", "-1"], "radius must be >= 0"),
     4: (["free-monoid", "--length", "0"], "length must be >= 1"),
     5: (["local-iso", "--radius", "0"], "radius must be >= 1"),
@@ -143,6 +143,8 @@ USAGE_ERRORS = {
     21: (["lambda", "--steps", "3", "--tol", "1e-17"], "floating-point floor"),
     22: (["free-monoid", "--length", "13"], "length 13 exceeds desk-scale cap 12"),
     23: (["lambda", "--tol", "inf"], "tol must be > 0 and finite, got inf"),
+    24: (["growth", "--genset", "tilde", "--radius", "0", "--convention", "exact"],
+         "radius must be >= 1"),
 }
 
 

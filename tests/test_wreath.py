@@ -1,4 +1,5 @@
 import itertools
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,6 @@ from wilson.fano import DEGREE, X, Y, Z, Perm, psl32
 from wilson.wreath import (
     Atom,
     Element,
-    NodeForm,
     StateBudgetExceeded,
     act,
     atom_element,
@@ -101,13 +101,40 @@ def test_one_object_per_normal_word(ws, hs):
 
 
 @given(letter_words)
+@settings(max_examples=100, deadline=None)
+def test_trie_node_is_its_prefix_and_last_letter(ws):
+    g = Element(tuple(ws))
+    if g is not E:
+        assert g.prefix * Element((g.last,)) is g
+        assert g.prefix.letters + (g.last,) == g.letters
+
+
+def test_intern_table_is_a_trie():
+    Element((XBAR.letters[0], X, U4BAR.letters[0], Y))
+    assert wreath._ELEMENTS[None, None] is E
+    for key, e in wreath._ELEMENTS.items():
+        if e is not E:
+            assert key == (e.prefix, e.last)
+            assert wreath._ELEMENTS[e.prefix.prefix, e.prefix.last] is e.prefix
+
+
+def test_long_word_walks_its_prefix_chain_in_a_loop():
+    letters = (XBAR.letters[0], X) * 10_000
+    g = Element(letters)
+    assert g.letters == letters
+    assert decompose(g).sections is not None
+    assert g.inverse().letters[:2] == (X, XBAR.letters[0].inverse())
+    assert is_identity(g * g.inverse())
+
+
+@given(letter_words)
 @settings(max_examples=60, deadline=None)
 def test_interning_survives_clear_caches(ws):
     g = Element(tuple(ws))
     decompose(g)
     try:
         clear_caches()
-        assert Element(tuple(ws)) is g and g.nf is None
+        assert Element(tuple(ws)) is g and g.sections is None
         assert letters_of(decompose(g)) == letters_of(reference_decompose(g))
         assert all(s is Element(s.letters) for s in decompose(g).sections)
     finally:
@@ -130,6 +157,13 @@ def test_engine_stats_counts():
     }
 
 
+class RefNodeForm(NamedTuple):
+    """A node form built apart from the engine's elements."""
+
+    root: Perm
+    sections: tuple
+
+
 def reference_decompose(e):
     """The whole-word walk: collect each point's section chunks, root by
     root, and normalize each concatenation once.  No cache is read."""
@@ -144,7 +178,7 @@ def reference_decompose(e):
             if s.letters:
                 pieces[p].append(s.letters)
         acc = acc * letter.root
-    return NodeForm(acc, tuple(
+    return RefNodeForm(acc, tuple(
         Element(tuple(itertools.chain.from_iterable(chunks))) for chunks in pieces))
 
 
