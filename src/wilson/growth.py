@@ -12,20 +12,10 @@ differ when a parity homomorphism exists) is
 states on those edges.  All enumeration orders are (length, lexicographic),
 so geodesics and exports are reproducible.
 
-The cyclic collector is paused while a sphere is expanded and restored,
-whatever ends the sphere, to the state the caller left it in.  Once a sphere
-is finished, :func:`balls` calls ``gc.freeze()``, which moves every object
-the collector tracks, among them the interned elements, their node forms and
-the ball's member list and index, to its permanent generation, so later
-collections, those at interpreter exit included, stop walking them.  The
-element graph only grows, so those walks never freed anything.  Pausing and
-freezing are safe because a ball search makes no cyclic garbage: whatever it
-drops is freed by reference counting.  If the collector is on, the caller's
-own cyclic garbage is collected each time the generator resumes, before the
-next sphere, so no freeze keeps it; that collection walks only what the
-caller made since the last yield.  What the freeze cannot tell apart is a
-caller's object that is alive when a sphere ends and becomes cyclic garbage
-later: it stays in the permanent generation until ``gc.unfreeze()``.
+A ball search makes no cyclic garbage: whatever it drops is freed by
+reference counting.  So it leaves the cyclic collector alone, and its
+collections never free anything; a library caller that wants the CLI's speed
+disables the collector around the call itself.
 
 The :class:`Deduper` index maps each signature to one member's index, an
 ``int``: members are added only after a lookup misses, so none share one.
@@ -33,7 +23,6 @@ The :class:`Deduper` index maps each signature to one member's index, an
 
 from __future__ import annotations
 
-import gc
 import itertools
 from array import array
 from dataclasses import dataclass
@@ -163,31 +152,22 @@ def balls(genset: GeneratingSet) -> Iterator[Ball]:
     start = 0
     while True:
         yield ball
-        enabled = gc.isenabled()
-        if enabled:
-            gc.collect()  # the caller's cyclic garbage, before a freeze could keep it
-        gc.disable()
-        try:
-            end = len(members)
-            for mid in range(start, end):
-                row = mid * k
-                for s, (_, el) in enumerate(syms):
-                    if edges[row + s] >= 0:
-                        continue  # the backtrack entry, never a new geodesic
-                    candidate = members[mid] * el
-                    target = dedup.find(candidate)
-                    if target is None:
-                        target = dedup.add(candidate)
-                        edges.extend(blank)
-                        edges[target * k + inverse_of[s]] = mid
-                    edges[row + s] = target
-        finally:
-            if enabled:
-                gc.enable()
+        end = len(members)
+        for mid in range(start, end):
+            row = mid * k
+            for s, (_, el) in enumerate(syms):
+                if edges[row + s] >= 0:
+                    continue  # the backtrack entry, never a new geodesic
+                candidate = members[mid] * el
+                target = dedup.find(candidate)
+                if target is None:
+                    target = dedup.add(candidate)
+                    edges.extend(blank)
+                    edges[target * k + inverse_of[s]] = mid
+                edges[row + s] = target
         start = end
         ball.radius += 1
         ball.sizes.append(len(members))
-        gc.freeze()  # the finished sphere leaves the cyclic collector's scans
 
 
 def enumerate_ball(genset: GeneratingSet, radius: int) -> Ball:

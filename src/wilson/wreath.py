@@ -272,9 +272,9 @@ def act(e: Element, s: str) -> str:
     out = []
     cur = e
     for ch in s:
-        p = int(ch)
-        if not 1 <= p <= DEGREE:
+        if ch not in "1234567":
             raise ValueError(f"invalid point {ch!r}")
+        p = int(ch)
         nf = decompose(cur)
         out.append(str(nf.root.apply(p)))
         cur = nf.sections[p - 1]

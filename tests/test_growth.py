@@ -20,10 +20,8 @@ from wilson.growth import (
     growth_estimates,
     sizes_csv_rows,
 )
-from wilson import wreath
 from wilson.catalog import make_abar
-from wilson.wreath import (Element, StateBudgetExceeded, equals, is_identity, perm_element,
-                           signature)
+from wilson.wreath import Element, equals, is_identity, perm_element, signature
 
 from partition_oracle import least_levels, pairwise_ball_sizes, word_partition
 from test_wreath import truncated_bar
@@ -259,9 +257,9 @@ def test_export_dot():
 
 
 def test_ball_search_makes_no_cyclic_garbage():
-    """``balls`` freezes each finished sphere out of the cyclic collector.
-    That is safe because a search leaves no reference cycles behind: what it
-    drops is freed by reference counting, frozen or not."""
+    """A search leaves no reference cycles behind: what it drops is freed by
+    reference counting.  This is why ``cli.main`` can run every command with
+    the collector off."""
     gc.unfreeze()
     gc.collect()
     enumerate_ball(make_S(2), 8)
@@ -270,12 +268,13 @@ def test_ball_search_makes_no_cyclic_garbage():
     assert gc.collect() == 0
 
 
-def test_ball_search_frees_the_callers_cyclic_garbage():
-    """Garbage the caller made before a search is collected when the search
-    resumes, before a sphere is frozen, so no freeze keeps it alive."""
-    class Node:
-        pass
+class Node:
+    pass
 
+
+def test_ball_search_frees_the_callers_cyclic_garbage():
+    """Garbage the caller made before a search is left to the caller's
+    collector: after the search, one collection frees all of it."""
     refs = []
     for _ in range(1000):
         node = Node()
@@ -283,24 +282,18 @@ def test_ball_search_frees_the_callers_cyclic_garbage():
         refs.append(weakref.ref(node))
     del node
     enumerate_ball(make_S(1), 3)
+    gc.collect()
     assert sum(ref() is not None for ref in refs) == 0
 
 
-def test_ball_search_keeps_callers_objects_that_die_later_frozen():
-    """A caller's cyclic structure that is alive when a sphere ends is frozen
-    with it: dropped after the search, only ``gc.unfreeze()`` lets the
-    collector free it."""
-    class Node:
-        pass
-
+def test_ball_search_lets_callers_objects_that_die_later_be_collected():
+    """The search freezes nothing: a caller's cyclic structure that is alive
+    during it and dropped after it is freed by one collection."""
     node = Node()
     node.self = node
     ref = weakref.ref(node)
     enumerate_ball(make_S(1), 3)
     del node
-    gc.collect()
-    assert ref() is not None
-    gc.unfreeze()
     gc.collect()
     assert ref() is None
 
@@ -321,29 +314,3 @@ def test_ball_search_collects_nothing_with_the_collector_off():
         gc.callbacks.remove(count)
         (gc.enable if was else gc.disable)()
     assert runs == []
-
-
-def test_collector_state_is_restored_after_an_error(monkeypatch):
-    """The collector is off only inside a sphere: an error there, or closing
-    the generator between spheres, leaves it as the caller had it.  With a
-    budget of one pair, the S:1 search fails in its sphere of radius 8 (the
-    closures of tilde's searches hold a single pair, so no budget trips them)."""
-    monkeypatch.setattr(wreath, "STATE_BUDGET", 1)
-    was = gc.isenabled()
-    try:
-        for enabled in (True, False):
-            (gc.enable if enabled else gc.disable)()
-            search = balls(make_S(1))
-            with pytest.raises(StateBudgetExceeded):
-                for ball in search:
-                    assert gc.isenabled() == enabled
-            assert ball.radius == 7
-            assert gc.isenabled() == enabled
-            search = balls(make_tilde())
-            next(search)
-            next(search)
-            assert gc.isenabled() == enabled
-            search.close()
-            assert gc.isenabled() == enabled
-    finally:
-        (gc.enable if was else gc.disable)()
