@@ -159,10 +159,10 @@ def make_free_quadruple(pair: tuple[Perm, Perm] | None = None) -> FreeQuadruple:
     """a = bar(u) u, b = bar(u) v, c = bar(v) u, d = bar(v) v for a pair of
     1<->2 swappers; verifies the expected decompositions before returning."""
     if pair is None:
-        swappers = find_swappers(psl32(), 1, 2)
-        if len(swappers) < 2:
+        pairs = swapper_pairs()
+        if not pairs:
             raise RuntimeError("expected at least two swapping elements")
-        pair = (swappers[0], swappers[1])
+        pair = pairs[0]
     u, v = pair
     if u == v:
         raise ValueError("swappers must be distinct")

@@ -1,11 +1,15 @@
 """Command-line verification suites and data exports.
 
+Each ``cmd_*`` function maps parsed arguments to its output text and exit code;
+``main`` alone checks the desk-scale caps, reports errors and writes the text.
 Exit codes: 0 verdict pass, 1 verdict fail, 2 usage error, 3 engine resource
-error.  A usage error names what was wrong on stderr; besides argparse's own,
-that covers a bad generating set, a radius or word length over its desk-scale
-cap and every argument the engine rejects with ``ValueError`` (a radius, length
-or step count out of range, a point outside 1..7).  All outputs are
-deterministic: identical configuration gives identical bytes.
+error.  A usage error prints one line, ``wilson <command>: error: <message>``,
+on stderr; besides argparse's own, that covers a bad generating set, an unknown
+``act`` symbol, a radius or word length over its desk-scale cap, an ``-o`` path
+that cannot be written and every argument the engine rejects with
+``ValueError`` (a radius, length or step count out of range, a point outside
+1..7).  All outputs are deterministic: identical configuration gives identical
+bytes.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import argparse
 import gc
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__
 from .bounds import curve_rows, lambda_sequence
@@ -41,24 +44,16 @@ from .growth import (
 from .words import verify_lemma30
 from .wreath import Element, StateBudgetExceeded, act
 
-MAX_BALL_RADIUS = 12
-MAX_FREE_MONOID_LENGTH = 12
+# the desk-scale cap of each command that has one: (option, largest value
+# allowed without --force)
+CAPS = {
+    "ball": ("radius", 12),
+    "growth": ("radius", 12),
+    "local-iso": ("radius", 12),
+    "free-monoid": ("length", 12),
+}
 
-
-@dataclass
-class RunConfig:
-    command: str
-    options: dict = field(default_factory=dict)
-
-    def header_lines(self) -> list[str]:
-        opts = " ".join(f"{k}={v}" for k, v in sorted(self.options.items()))
-        return [
-            f"# wilson-growth {__version__}",
-            f"# config: command={self.command} {opts}".rstrip(),
-        ]
-
-    def as_json(self) -> dict:
-        return {"command": self.command, **{k: v for k, v in sorted(self.options.items())}}
+SIZE_COLUMNS = ["radius", "ball_size", "sphere_size", "estimate_root", "estimate_ratio"]
 
 
 def _parse_genset(selector: str, allow_free: bool = False):
@@ -68,47 +63,37 @@ def _parse_genset(selector: str, allow_free: bool = False):
         return make_tilde()
     if selector.startswith("S:"):
         level = selector[2:]
-        if level.isdecimal() and int(level) >= 1:
+        if level.isascii() and level.isdecimal() and int(level) >= 1:
             return make_S(int(level))
-        print(f"bad generating set {selector!r}: the level n of S:n must be an "
-              "integer >= 1", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"bad generating set {selector!r}: the level n of S:n must "
+                         "be an integer >= 1")
     if selector == "free" and allow_free:
         q = make_free_quadruple()
-        return GeneratingSet(
-            "free", (("a", q.a), ("b", q.b), ("c", q.c), ("d", q.d))
-        )
-    print(f"unknown generating set {selector!r}", file=sys.stderr)
-    raise SystemExit(2)
+        return GeneratingSet("free", (("a", q.a), ("b", q.b), ("c", q.c), ("d", q.d)))
+    raise ValueError(f"unknown generating set {selector!r}")
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _header(command: str, options: dict) -> str:
+    config = " ".join([f"command={command}",
+                       *(f"{k}={v}" for k, v in sorted(options.items()))])
+    return f"# wilson-growth {__version__}\n# config: {config}\n"
 
 
-def _csv(config: RunConfig, header: list[str], rows) -> str:
-    lines = config.header_lines()
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv(command: str, options: dict, columns: list[str], rows) -> str:
+    lines = [",".join(columns), *(",".join(str(v) for v in row) for row in rows)]
+    return _header(command, options) + "\n".join(lines) + "\n"
 
 
-def _json_doc(config: RunConfig, payload: dict) -> str:
+def _json_doc(command: str, options: dict, payload: dict) -> str:
     doc = {
         "artifact": f"wilson-growth {__version__}",
-        "config": config.as_json(),
+        "config": {"command": command, **options},
         **payload,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_verify_all(args) -> int:
-    config = RunConfig("verify-all")
+def cmd_verify_all(args) -> tuple[str, int]:
     claims: list[dict] = []
 
     def claim(cid: str, statement: str, verdict: bool):
@@ -162,72 +147,47 @@ def cmd_verify_all(args) -> int:
           any(s.lambda_next < 1.05 for s in seq))
 
     ok = all(c["verdict"] for c in claims)
-    _emit(_json_doc(config, {"claims": claims, "all_pass": ok}), args.output)
-    return 0 if ok else 1
+    return _json_doc(args.command, {}, {"claims": claims, "all_pass": ok}), 0 if ok else 1
 
 
-def cmd_ball(args) -> int:
-    _check_cap("radius", args.radius, MAX_BALL_RADIUS, args.force)
+def cmd_ball(args) -> tuple[str, int]:
     genset = _parse_genset(args.genset)
-    config = RunConfig("ball", {"genset": genset.name, "radius": args.radius,
-                                "format": args.format})
+    options = {"genset": genset.name, "radius": args.radius, "format": args.format}
     if args.format == "dot":
-        text = "\n".join(config.header_lines()) + "\n" + export_dot(genset, args.radius)
-    else:
-        text = _csv(
-            config,
-            ["radius", "ball_size", "sphere_size", "estimate_root", "estimate_ratio"],
-            sizes_csv_rows(enumerate_ball(genset, args.radius).sizes),
-        )
-    _emit(text, args.output)
-    return 0
+        return _header(args.command, options) + export_dot(genset, args.radius), 0
+    rows = sizes_csv_rows(enumerate_ball(genset, args.radius).sizes)
+    return _csv(args.command, options, SIZE_COLUMNS, rows), 0
 
 
-def cmd_growth(args) -> int:
-    _check_cap("radius", args.radius, MAX_BALL_RADIUS, args.force)
+def cmd_growth(args) -> tuple[str, int]:
     genset = _parse_genset(args.genset)
-    config = RunConfig(
-        "growth",
-        {"genset": genset.name, "radius": args.radius,
-         "convention": args.convention},
-    )
+    options = {"genset": genset.name, "radius": args.radius,
+               "convention": args.convention}
     if args.convention == "exact":
         sizes = ball_sizes_exact_convention(genset, args.radius)
     else:
         sizes = ball_sizes(genset, args.radius)
-    rows = sizes_csv_rows(sizes)
-    text = _csv(
-        config,
-        ["radius", "ball_size", "sphere_size", "estimate_root", "estimate_ratio"],
-        rows,
-    )
-    _emit(text, args.output)
-    return 0 if check_submultiplicative(sizes) else 1
+    text = _csv(args.command, options, SIZE_COLUMNS, sizes_csv_rows(sizes))
+    return text, 0 if check_submultiplicative(sizes) else 1
 
 
-def cmd_lemma30(args) -> int:
-    config = RunConfig("lemma30", {"max_n": args.max_n})
+def cmd_lemma30(args) -> tuple[str, int]:
     rep = verify_lemma30(args.max_n)
-    text = _csv(config, ["n", "delta_free_count"], enumerate(rep["counts"]))
-    _emit(text, args.output)
-    return 0 if rep["all_at_most_30"] else 1
+    text = _csv(args.command, {"max_n": args.max_n}, ["n", "delta_free_count"],
+                enumerate(rep["counts"]))
+    return text, 0 if rep["all_at_most_30"] else 1
 
 
-def cmd_lambda(args) -> int:
-    config = RunConfig("lambda", {"steps": args.steps, "tol": args.tol})
-    seq = lambda_sequence(args.steps, args.tol)
+def cmd_lambda(args) -> tuple[str, int]:
     rows = [
         (s.n, f"{s.lambda_n:.15f}", f"{s.eta_n:.15f}", f"{s.residual:.3e}")
-        for s in seq
+        for s in lambda_sequence(args.steps, args.tol)
     ]
-    _emit(_csv(config, ["n", "lambda_n", "eta_n", "residual"], rows), args.output)
-    return 0
+    options = {"steps": args.steps, "tol": args.tol}
+    return _csv(args.command, options, ["n", "lambda_n", "eta_n", "residual"], rows), 0
 
 
-def cmd_free_monoid(args) -> int:
-    _check_cap("length", args.length, MAX_FREE_MONOID_LENGTH, args.force)
-    config = RunConfig("free-monoid", {"length": args.length,
-                                       "all_pairs": args.all_pairs})
+def cmd_free_monoid(args) -> tuple[str, int]:
     if args.all_pairs:
         reports = [free_monoid_check(args.length, pair=p) for p in swapper_pairs()]
         ok = all(r["all_ok"] for r in reports)
@@ -236,53 +196,33 @@ def cmd_free_monoid(args) -> int:
         rep = free_monoid_check(args.length)
         ok = rep["all_ok"]
         payload = {"report": rep, "all_ok": ok}
-    _emit(_json_doc(config, payload), args.output)
-    return 0 if ok else 1
+    options = {"length": args.length, "all_pairs": args.all_pairs}
+    return _json_doc(args.command, options, payload), 0 if ok else 1
 
 
-def cmd_local_iso(args) -> int:
-    _check_cap("radius", args.radius, MAX_BALL_RADIUS, args.force)
-    config = RunConfig("local-iso", {"radius": args.radius, "max_n": args.max_n})
+def cmd_local_iso(args) -> tuple[str, int]:
     n = find_min_n_local_iso(args.radius, args.max_n)
-    payload = {
-        "radius": args.radius,
-        "max_n": args.max_n,
-        "min_n": n,
-        "found": n is not None,
-    }
-    _emit(_json_doc(config, payload), args.output)
-    return 0 if n is not None else 1
+    options = {"radius": args.radius, "max_n": args.max_n}
+    payload = {**options, "min_n": n, "found": n is not None}
+    return _json_doc(args.command, options, payload), 0 if n is not None else 1
 
 
-def cmd_act(args) -> int:
+def cmd_act(args) -> tuple[str, int]:
     genset = _parse_genset(args.genset, allow_free=True)
     table = dict(genset.symbols)
-    e = None
+    e = Element()
     for token in args.word.split():
         if token not in table:
-            print(f"unknown symbol {token!r} in {genset.name}", file=sys.stderr)
-            return 2
-        e = table[token] if e is None else e * table[token]
-    if e is None:
-        e = Element()
-    _emit(act(e, args.string) + "\n", args.output)
-    return 0
+            raise ValueError(f"unknown symbol {token!r} in {genset.name}")
+        e = e * table[token]
+    return act(e, args.string) + "\n", 0
 
 
-def cmd_curves(args) -> int:
-    config = RunConfig("curves", {"lam": args.lam})
+def cmd_curves(args) -> tuple[str, int]:
     rows = [
         (f"{eta:.2f}", f"{p:.12f}", f"{g:.12f}") for eta, p, g in curve_rows(args.lam)
     ]
-    _emit(_csv(config, ["eta", "pow_curve", "g_curve"], rows), args.output)
-    return 0
-
-
-def _check_cap(name: str, value: int, cap: int, force: bool) -> None:
-    if value > cap and not force:
-        print(f"{name} {value} exceeds desk-scale cap {cap}; pass --force to override",
-              file=sys.stderr)
-        raise SystemExit(2)
+    return _csv(args.command, {"lam": args.lam}, ["eta", "pow_curve", "g_curve"], rows), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,14 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genset", default="S:1")
     p.add_argument("--radius", type=int, default=6)
     p.add_argument("--format", choices=("csv", "dot"), default="csv")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_ball)
 
     p = add_parser("growth", help="ball sizes and growth estimates")
     p.add_argument("--genset", default="S:1")
     p.add_argument("--radius", type=int, default=8)
     p.add_argument("--convention", choices=("atmost", "exact"), default="atmost")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_growth)
 
     p = add_parser("lemma30", help="pattern-free reduced word counts")
@@ -328,13 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("free-monoid", help="free-monoid witness checks")
     p.add_argument("--length", type=int, default=8)
     p.add_argument("--all-pairs", action="store_true")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_free_monoid)
 
     p = add_parser("local-iso", help="least level matching the self-similar ball")
     p.add_argument("--radius", type=int, default=2)
     p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_local_iso)
 
     p = add_parser("act", help="apply a word to a string over the alphabet")
@@ -347,12 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=2.0)
     p.set_defaults(func=cmd_curves)
 
+    for name, (option, cap) in CAPS.items():
+        sub.choices[name].add_argument("--force", action="store_true",
+                                       help=f"allow a {option} above {cap}")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    error = f"wilson {args.command}: error:"
     # The collector is off while a command runs: the engine makes no cyclic
     # garbage, so its collections would only walk the growing element graph.
     # A command leaves about 250-390 cyclic objects, mostly argparse's, however
@@ -363,9 +302,15 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        if args.command in CAPS:
+            option, cap = CAPS[args.command]
+            value = getattr(args, option)
+            if value > cap and not args.force:
+                raise ValueError(f"{option} {value} exceeds desk-scale cap {cap}; "
+                                 "pass --force to override")
+        text, code = args.func(args)
     except ValueError as exc:
-        print(f"wilson {args.command}: error: {exc}", file=sys.stderr)
+        print(error, exc, file=sys.stderr)
         return 2
     except StateBudgetExceeded as exc:
         print(f"resource error: {exc}", file=sys.stderr)
@@ -374,6 +319,17 @@ def main(argv=None) -> int:
         gc.freeze()
         if enabled:
             gc.enable()
+    try:
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        print(error, f"cannot write {args.output or 'stdout'}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

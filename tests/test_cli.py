@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from wilson import wreath
+from wilson import cli, wreath
 from wilson.cli import main
 
 
@@ -100,10 +100,6 @@ def test_act(capsys):
                        "--string", "15")
     assert code == 0
     assert out == "55\n"
-    code, _, err = run(capsys, "act", "--genset", "tilde", "--word", "q",
-                       "--string", "1")
-    assert code == 2
-    assert "unknown symbol" in err
 
 
 def test_curves(capsys):
@@ -112,15 +108,6 @@ def test_curves(capsys):
     lines = [l for l in out.splitlines() if not l.startswith("#")]
     assert lines[0] == "eta,pow_curve,g_curve"
     assert len(lines) == 100
-
-
-def test_radius_cap(capsys):
-    for command in ("ball", "local-iso"):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--radius", "13"])
-        assert exc.value.code == 2
-        _, _, err = ("", *capsys.readouterr())
-        assert "desk-scale cap 12" in err
 
 
 USAGE_ERRORS = {
@@ -148,25 +135,31 @@ USAGE_ERRORS = {
          "radius must be >= 1"),
     25: (["act", "--word", "a", "--string", "1x"], "invalid point 'x'"),
     26: (["act", "--word", "a", "--string", "1\u0663"], "invalid point '\u0663'"),
+    27: (["ball", "--radius", "13"], "radius 13 exceeds desk-scale cap 12"),
+    28: (["local-iso", "--radius", "13"], "radius 13 exceeds desk-scale cap 12"),
+    29: (["ball", "--genset", "nope", "--radius", "2"], "unknown generating set 'nope'"),
+    30: (["act", "--genset", "tilde", "--word", "q", "--string", "1"],
+         "unknown symbol 'q'"),
+    31: (["ball", "--genset", "S:\u0662", "--radius", "2"], "'S:\u0662'"),
 }
 
 
 # each case keeps the id it was first reported under, when the table also had
 # an environment column (None for all of these); cases 7 and 8 (an environment
-# variable) and 11 and 12 (a command-line option) are retired with what they set
+# variable) and 11 and 12 (a command-line option) are retired with what they set;
+# none is one of argparse's own errors, so main returns 2 and prints one line
 @pytest.mark.parametrize("argv, message", [
     pytest.param(argv, message, id=f"argv{n}-None-{message}")
     for n, (argv, message) in USAGE_ERRORS.items()
 ])
 def test_usage_errors(capsys, argv, message):
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert message in captured.err
     assert "Traceback" not in captured.err
+    assert captured.err.startswith(f"wilson {argv[0]}: error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert captured.out == ""
 
 
@@ -203,12 +196,6 @@ def test_large_level(capsys):
     assert [int(r[1]) for r in rows] == [4, 10, 22, 43]
 
 
-def test_bad_genset(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["ball", "--genset", "nope", "--radius", "2"])
-    assert exc.value.code == 2
-
-
 def test_state_budget_flag(capsys, monkeypatch):
     monkeypatch.setattr(wreath, "STATE_BUDGET", 2)
     code, _, err = run(capsys, "verify-all")
@@ -224,15 +211,36 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text().splitlines()[-1] == "5,15"
 
 
+@pytest.mark.parametrize("where", ["missing/out.csv", "."])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, where):
+    """An ``-o`` path that cannot be opened (a missing directory, a directory)
+    exits 2 with one line on stderr, not with a traceback and exit 1."""
+    target = tmp_path / where
+    code, out, err = run(capsys, "lemma30", "--max-n", "3", "-o", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"wilson lemma30: error: cannot write {target}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def test_an_os_error_inside_a_command_is_not_a_usage_error(tmp_path, monkeypatch):
+    """Only the write of the output is guarded: an ``OSError`` raised while a
+    command runs is a fault of the program and surfaces whole."""
+    def fail(max_n):
+        raise FileNotFoundError("raised inside the command")
+
+    monkeypatch.setattr(cli, "verify_lemma30", fail)
+    with pytest.raises(FileNotFoundError, match="raised inside the command"):
+        main(["lemma30", "-o", str(tmp_path / "out.csv")])
+
+
 def test_collector_state_is_restored_after_an_error(capsys, monkeypatch):
     """``main`` runs a command with the collector off and leaves it as the
     caller had it, whatever the exit: 0, 2 (an argument the engine rejects,
     or a cap) or 3 (an exhausted closure budget)."""
     def exit_code(*argv):
-        try:
-            return run(capsys, *argv)[0]
-        except SystemExit as exc:
-            return exc.code
+        return run(capsys, *argv)[0]
 
     was = gc.isenabled()
     try:
