@@ -11,7 +11,7 @@ for every lambda this artifact produces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 ETA_LO = 1e-12
 ETA_HI = 30.0 / 31.0
@@ -27,15 +27,8 @@ CURVE_POINTS = 99
 LOG_30 = math.log(30.0)
 
 
-@dataclass(frozen=True)
-class EtaStep:
-    """One step of the recursion: the crossing for lambda_n."""
-
-    n: int
-    lambda_n: float
-    eta_n: float
-    lambda_next: float
-    residual: float
+# One step of the recursion: the crossing for lambda_n.
+EtaStep = namedtuple("EtaStep", "n lambda_n eta_n lambda_next residual")
 
 
 def log_g_eta(eta: float) -> float:

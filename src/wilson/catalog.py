@@ -8,7 +8,7 @@ artifact is reproducible.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fano import (X, Y, Z, Perm, commutator, conjugate, find_fix_move,
                    find_swappers, psl32)
@@ -25,10 +25,21 @@ from .wreath import (
 _E = Element()
 
 
-@dataclass(frozen=True)
 class GeneratingSet:
-    name: str
-    symbols: tuple[tuple[str, Element], ...]
+    """A named tuple of ``(symbol, element)`` pairs.  Read-only: ``make_S``
+    and ``make_tilde`` are cached, so one set is shared by every caller."""
+
+    __slots__ = ("name", "symbols")
+
+    def __init__(self, name: str, symbols: tuple[tuple[str, Element], ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "symbols", symbols)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GeneratingSet is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GeneratingSet is read-only: cannot delete {name!r}")
 
     def elements(self) -> tuple[Element, ...]:
         return tuple(e for _, e in self.symbols)
@@ -129,17 +140,11 @@ def make_tilde() -> GeneratingSet:
     )
 
 
-@dataclass(frozen=True)
-class FreeQuadruple:
-    """The two swapping permutations and the four products feeding the
-    free-monoid witness."""
+class FreeQuadruple(namedtuple("FreeQuadruple", "u v a b c d")):
+    """The two swapping permutations ``u``, ``v`` and the four products
+    ``a``..``d`` (elements) feeding the free-monoid witness."""
 
-    u: Perm
-    v: Perm
-    a: Element
-    b: Element
-    c: Element
-    d: Element
+    __slots__ = ()
 
     def word(self, letters: str) -> Element:
         table = {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
@@ -196,13 +201,9 @@ def _verify_free_decompositions(q: FreeQuadruple) -> None:
                 raise RuntimeError(f"{name}: section {i + 1} not trivial")
 
 
-@dataclass(frozen=True)
-class CatalogClaim:
-    id: str
-    statement: str
-    relation: str  # equal | not-identity
-    lhs: Element
-    rhs: Element | None = None
+# relation is "equal" (lhs = rhs) or "not-identity" (lhs != 1, rhs None)
+CatalogClaim = namedtuple("CatalogClaim", "id statement relation lhs rhs",
+                          defaults=(None,))
 
 
 def check_claim(claim: CatalogClaim) -> bool:

@@ -2,6 +2,8 @@
 
 Each ``cmd_*`` function maps parsed arguments to its output text and exit code;
 ``main`` alone checks the desk-scale caps, reports errors and writes the text.
+A command imports the layers it runs (``growth``, ``words``, ``bounds``) when it
+runs, so ``import wilson.cli`` loads only ``fano``, ``wreath`` and ``catalog``.
 Exit codes: 0 verdict pass, 1 verdict fail, 2 usage error, 3 engine resource
 error.  A usage error prints one line, ``wilson <command>: error: <message>``,
 on stderr; besides argparse's own, that covers a bad generating set, an unknown
@@ -16,11 +18,9 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 
 from . import __version__
-from .bounds import curve_rows, lambda_sequence
 from .catalog import (
     GeneratingSet,
     make_S,
@@ -31,17 +31,6 @@ from .catalog import (
     swapper_pairs,
 )
 from .fano import X, Y, Z, closure, is_perfect, is_simple, is_two_transitive, psl32
-from .growth import (
-    ball_sizes,
-    ball_sizes_exact_convention,
-    check_submultiplicative,
-    enumerate_ball,
-    export_dot,
-    find_min_n_local_iso,
-    free_monoid_check,
-    sizes_csv_rows,
-)
-from .words import verify_lemma30
 from .wreath import Element, StateBudgetExceeded, act
 
 # the desk-scale cap of each command that has one: (option, largest value
@@ -85,6 +74,8 @@ def _csv(command: str, options: dict, columns: list[str], rows) -> str:
 
 
 def _json_doc(command: str, options: dict, payload: dict) -> str:
+    import json
+
     doc = {
         "artifact": f"wilson-growth {__version__}",
         "config": {"command": command, **options},
@@ -94,6 +85,10 @@ def _json_doc(command: str, options: dict, payload: dict) -> str:
 
 
 def cmd_verify_all(args) -> tuple[str, int]:
+    from .bounds import lambda_sequence
+    from .growth import find_min_n_local_iso, free_monoid_check
+    from .words import verify_lemma30
+
     claims: list[dict] = []
 
     def claim(cid: str, statement: str, verdict: bool):
@@ -151,6 +146,8 @@ def cmd_verify_all(args) -> tuple[str, int]:
 
 
 def cmd_ball(args) -> tuple[str, int]:
+    from .growth import enumerate_ball, export_dot, sizes_csv_rows
+
     genset = _parse_genset(args.genset)
     options = {"genset": genset.name, "radius": args.radius, "format": args.format}
     if args.format == "dot":
@@ -160,6 +157,9 @@ def cmd_ball(args) -> tuple[str, int]:
 
 
 def cmd_growth(args) -> tuple[str, int]:
+    from .growth import (ball_sizes, ball_sizes_exact_convention,
+                         check_submultiplicative, sizes_csv_rows)
+
     genset = _parse_genset(args.genset)
     options = {"genset": genset.name, "radius": args.radius,
                "convention": args.convention}
@@ -172,6 +172,8 @@ def cmd_growth(args) -> tuple[str, int]:
 
 
 def cmd_lemma30(args) -> tuple[str, int]:
+    from .words import verify_lemma30
+
     rep = verify_lemma30(args.max_n)
     text = _csv(args.command, {"max_n": args.max_n}, ["n", "delta_free_count"],
                 enumerate(rep["counts"]))
@@ -179,6 +181,8 @@ def cmd_lemma30(args) -> tuple[str, int]:
 
 
 def cmd_lambda(args) -> tuple[str, int]:
+    from .bounds import lambda_sequence
+
     rows = [
         (s.n, f"{s.lambda_n:.15f}", f"{s.eta_n:.15f}", f"{s.residual:.3e}")
         for s in lambda_sequence(args.steps, args.tol)
@@ -188,6 +192,8 @@ def cmd_lambda(args) -> tuple[str, int]:
 
 
 def cmd_free_monoid(args) -> tuple[str, int]:
+    from .growth import free_monoid_check
+
     if args.all_pairs:
         reports = [free_monoid_check(args.length, pair=p) for p in swapper_pairs()]
         ok = all(r["all_ok"] for r in reports)
@@ -201,6 +207,8 @@ def cmd_free_monoid(args) -> tuple[str, int]:
 
 
 def cmd_local_iso(args) -> tuple[str, int]:
+    from .growth import find_min_n_local_iso
+
     n = find_min_n_local_iso(args.radius, args.max_n)
     options = {"radius": args.radius, "max_n": args.max_n}
     payload = {**options, "min_n": n, "found": n is not None}
@@ -219,6 +227,8 @@ def cmd_act(args) -> tuple[str, int]:
 
 
 def cmd_curves(args) -> tuple[str, int]:
+    from .bounds import curve_rows
+
     rows = [
         (f"{eta:.2f}", f"{p:.12f}", f"{g:.12f}") for eta, p, g in curve_rows(args.lam)
     ]

@@ -14,9 +14,8 @@ table, and an inverse is kept on the permutation once computed.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
-from typing import TypeVar
 
 DEGREE = 7
 POINTS = tuple(range(1, DEGREE + 1))
@@ -130,25 +129,23 @@ def _intern(images: tuple[int, ...]) -> Perm:
 _IDENTITY = Perm(POINTS)
 
 
-G = TypeVar("G")
-
-
-def commutator(g: G, h: G) -> G:
+def commutator(g, h):
     """[g, h] = g^-1 h^-1 g h, for any two values with ``*`` and
     ``.inverse()``: two ``Perm``s or two wreath ``Element``s."""
     return g.inverse() * h.inverse() * g * h
 
 
-def conjugate(g: G, h: G) -> G:
+def conjugate(g, h):
     """g^h = h^-1 g h (right conjugation), for two ``Perm``s or two wreath
     ``Element``s."""
     return h.inverse() * g * h
 
 
-@dataclass(frozen=True)
-class PermGroup:
-    elements: frozenset[Perm]
-    generators: tuple[Perm, ...]
+class PermGroup(namedtuple("PermGroup", "elements generators")):
+    """A finite permutation group: its ``elements`` (a frozenset of ``Perm``)
+    and the ``generators`` (a sorted tuple) that ``closure`` built it from."""
+
+    __slots__ = ()
 
     @property
     def size(self) -> int:

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from .catalog import GeneratingSet, make_S, make_free_quadruple, make_tilde
 from .wreath import Element, equals, is_identity, signature
@@ -99,16 +98,21 @@ def _effective_symbols(genset: GeneratingSet):
     return syms, inverse_of
 
 
-@dataclass
 class Ball:
-    """A Cayley ball: ``members`` is the search's ``Deduper.elements`` list."""
+    """A Cayley ball: ``members`` is the search's ``Deduper.elements`` list,
+    ``sizes`` the cumulative ball sizes by radius, and ``edges[m * k + s]`` the
+    member reached from member m by symbol s, or -1."""
 
-    genset: GeneratingSet
-    radius: int
-    members: list[Element]
-    sizes: list[int]  # cumulative ball sizes, index = radius
-    edges: array  # edges[m * k + s]: member reached from m by symbol s, or -1
-    symbol_names: tuple[str, ...]
+    __slots__ = ("genset", "radius", "members", "sizes", "edges", "symbol_names")
+
+    def __init__(self, genset: GeneratingSet, radius: int, members: list[Element],
+                 sizes: list[int], edges: array, symbol_names: tuple[str, ...]):
+        self.genset = genset
+        self.radius = radius
+        self.members = members
+        self.sizes = sizes
+        self.edges = edges
+        self.symbol_names = symbol_names
 
     @property
     def size(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator
+from collections.abc import Iterator
 
 ALPHABET = "abc"
 

@@ -230,7 +230,8 @@ def test_an_os_error_inside_a_command_is_not_a_usage_error(tmp_path, monkeypatch
     def fail(max_n):
         raise FileNotFoundError("raised inside the command")
 
-    monkeypatch.setattr(cli, "verify_lemma30", fail)
+    # cmd_lemma30 imports verify_lemma30 from wilson.words when it runs
+    monkeypatch.setattr("wilson.words.verify_lemma30", fail)
     with pytest.raises(FileNotFoundError, match="raised inside the command"):
         main(["lemma30", "-o", str(tmp_path / "out.csv")])
 
