@@ -12,6 +12,17 @@ differ when a parity homomorphism exists) is
 states on those edges.  All enumeration orders are (length, lexicographic),
 so geodesics and exports are reproducible.
 
+A ball search drops the node forms (``wreath.decompose``'s cache) that it
+will not read again, and keeps every interned element.  Once the rows of
+sphere r are complete, later rows extend members of depth >= r + 1, and a
+candidate is read with its prefix, the member it extends; a hit matches a
+member within distance 1 of the candidate, so of depth >= r.  So the members
+of depth r - 1 are not read again as members, and their node forms are
+released.  A candidate that a hit matches to another member is no member,
+so no later row extends it, and its node form is released too.  The rule
+costs no exactness: an element read again after all, as some element's
+section, gets its node form back from ``decompose``.
+
 A ball search makes no cyclic garbage: whatever it drops is freed by
 reference counting.  So it leaves the cyclic collector alone, and its
 collections never free anything; a library caller that wants the CLI's speed
@@ -143,7 +154,10 @@ def balls(genset: GeneratingSet) -> Iterator[Ball]:
     one ``Deduper.add`` (the ball's members are the deduper's list) and one
     blank row of ``edges``.  At radius r the row of every member of depth < r
     is complete; a member of depth r knows only its backtrack entry (its BFS
-    parent), set when it is found.
+    parent), set when it is found.  When radius r is yielded, the members of
+    depth r - 2 hold no node form, nor do the candidates of the rows just
+    completed that a hit matched to another member (the module docstring
+    says why the search does not read them again).
     """
     syms, inverse_of = _effective_symbols(genset)
     k = len(syms)
@@ -153,7 +167,7 @@ def balls(genset: GeneratingSet) -> Iterator[Ball]:
     ball = Ball(genset, 0, dedup.elements, [1], array("i", blank),
                 tuple(name for name, _ in syms))
     members, edges = ball.members, ball.edges
-    start = 0
+    done = start = 0  # members[done:start] have depth r - 1, members[start:] depth r
     while True:
         yield ball
         end = len(members)
@@ -168,8 +182,12 @@ def balls(genset: GeneratingSet) -> Iterator[Ball]:
                     target = dedup.add(candidate)
                     edges.extend(blank)
                     edges[target * k + inverse_of[s]] = mid
+                elif members[target] is not candidate:
+                    candidate.sections = None  # a hit that is not a member
                 edges[row + s] = target
-        start = end
+        for mid in range(done, start):  # depth r - 1: never read again
+            members[mid].sections = None
+        done, start = start, end
         ball.radius += 1
         ball.sizes.append(len(members))
 

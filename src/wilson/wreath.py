@@ -7,13 +7,18 @@ cached, and an atom certified as an involution is its own inverse, so a word
 never carries exponents.  Elements are the hash-consed nodes of one prefix
 trie: an element holds the element of its word without the last letter and
 that letter, so each normal word is one object and two elements have the
-same word exactly when they are the same object.  A word is normalized one
-letter at a time as it is pushed onto the trie, and a product pushes the
-letters of its right factor onto its left factor, so it is normalized only at
-the seam where they meet.  ``decompose`` fills in an element's node form
+same word exactly when they are the same object.  The intern table files
+each node under its last letter, then its prefix (``_CHILDREN[last][prefix]``:
+two identity-hash lookups and no key tuple); the empty word sits under
+``None``.  A word is normalized one letter at a time as it is pushed onto
+the trie, and a product pushes the letters of its right factor onto its left
+factor, so it is normalized only at the seam where they meet.
+``decompose`` fills in an element's node form
 ``<g_1,...,g_7> a`` (root permutation plus seven suffix sections) in slots of
 the element itself, building it from the node form of the element's prefix
-by the product rule.  An atom letter updates only the sections its atom has
+by the product rule.  A node form is a cache: a caller may drop it by setting
+``sections`` to None, and ``decompose`` builds it again when it is next
+read.  An atom letter updates only the sections its atom has
 nontrivial (one or two of seven for the catalog's atoms, which are bounded
 automata), read from the atom's ``nontrivial`` table.  ``signature`` reads an
 element's seven child signatures from the memo of the depth below in one
@@ -100,10 +105,12 @@ class Element:
 
     Elements are the nodes of one hash-consed prefix trie: ``prefix`` is the
     element of the word without its last letter and ``last`` is that letter;
-    the empty word, the root of the trie, has neither.  ``_ELEMENTS`` interns
-    each node by ``(prefix, last)``, so each normal word is one object and
-    ``==`` and ``hash`` are identity's.  ``root`` and ``sections`` hold the
-    node form once ``decompose`` has built it; ``sections`` is None until then.
+    the empty word, the root of the trie, has neither.  ``_CHILDREN`` interns
+    each node under ``last``, then ``prefix``, so each normal word is one
+    object and ``==`` and ``hash`` are identity's.  ``root`` and ``sections``
+    hold the node form once ``decompose`` has built it; ``sections`` is None
+    until then, and again once a caller has dropped the node form, which
+    ``decompose`` then rebuilds.
     """
 
     __slots__ = ("prefix", "last", "root", "sections")
@@ -131,12 +138,14 @@ class Element:
                 return node
         elif last is not None and last._inverse is letter:
             return self.prefix
-        key = (node, letter)
-        e = _ELEMENTS.get(key)
+        children = _CHILDREN.get(letter)
+        if children is None:
+            children = _CHILDREN[letter] = {}
+        e = children.get(node)
         if e is None:
             e = object.__new__(Element)
             e.prefix, e.last, e.root, e.sections = node, letter, None, None
-            _ELEMENTS[key] = e
+            children[node] = e
         return e
 
     def __mul__(self, other: "Element") -> "Element":
@@ -179,10 +188,10 @@ class Element:
         )
 
 
-_ELEMENTS: dict[tuple, Element] = {}  # the intern table: (prefix, last) -> element
 _E = object.__new__(Element)  # the empty word, the root of the trie
 _E.prefix = _E.last = _E.root = _E.sections = None
-_ELEMENTS[None, None] = _E
+# the intern table: last letter -> prefix -> element, the root under None
+_CHILDREN: dict[object, dict[Element | None, Element]] = {None: {None: _E}}
 _ID = Perm.identity()
 _TRIVIAL = (_E,) * DEGREE  # the sections of the trivial node form
 
@@ -325,21 +334,25 @@ def signature(e: Element, depth: int) -> int:
 def clear_caches() -> None:
     """Drop every node form and the signature tables.
 
+    A node form is a cache that any caller may drop, as the ball search does
+    for members it will not read again: ``decompose`` rebuilds it on demand.
     The intern table stays: atoms' sections and cached generating sets hold
     elements, and identity equality needs one object per word.
     """
-    for e in _ELEMENTS.values():
-        e.sections = None
+    for children in _CHILDREN.values():
+        for e in children.values():
+            e.sections = None
     _SIG_MEMO.clear()
     _SIG_INTERN.clear()
 
 
 def engine_stats() -> dict[str, int]:
-    """Node forms built, signature entries, interned elements and interned
-    permutations."""
+    """Node forms held, signature entries, interned elements (the root
+    included) and interned permutations."""
     return {
-        "decompose_cache": sum(e.sections is not None for e in _ELEMENTS.values()),
+        "decompose_cache": sum(e.sections is not None
+                               for children in _CHILDREN.values() for e in children.values()),
         "signature_cache": sum(len(memo) for memo in _SIG_MEMO.values()),
-        "elements": len(_ELEMENTS),
+        "elements": sum(map(len, _CHILDREN.values())),
         "perms": len(_PERMS),
     }

@@ -21,10 +21,11 @@ from wilson.growth import (
     sizes_csv_rows,
 )
 from wilson.catalog import make_abar
-from wilson.wreath import Element, equals, is_identity, perm_element, signature
+from wilson.wreath import (Element, clear_caches, decompose, equals, is_identity,
+                           perm_element, signature)
 
 from partition_oracle import least_levels, pairwise_ball_sizes, word_partition
-from test_wreath import truncated_bar
+from test_wreath import letters_of, reference_decompose, truncated_bar
 
 # The plain group A on x, y, z: every word normalizes to one permutation, so
 # Element equality is group equality, and the group is finite with relators
@@ -192,6 +193,39 @@ def test_geodesics_are_least_words(genset):
     expected = [least[m] for m in range(len(members))]
     for ball, radius in zip(balls(genset), range(6)):
         assert ball.geodesics() == expected[:ball.size]
+
+
+@pytest.mark.parametrize("genset", [make_tilde(), make_S(1), make_S(2)],
+                         ids=["tilde", "S:1", "S:2"])
+def test_ball_search_releases_node_forms_it_reads_no_more(genset):
+    """When the search yields radius r, the members of depth r - 2 and the
+    candidates of the rows just completed that are not members hold no node
+    form.  (A released member read later as some element's section gets its
+    node form back, so the check is made as each radius is reached.)  Each
+    released node form rebuilds to the reference one, and the search from
+    empty caches gives the same ball."""
+    radius = 9
+    symbols = search_symbols(genset)
+    k = len(symbols)
+    for ball in balls(genset):
+        r, members, starts = ball.radius, ball.members, [0, *ball.sizes]
+        if r >= 2:
+            assert all(m.sections is None for m in members[starts[r - 2]:starts[r - 1]])
+        if r >= 1:
+            for mid in range(starts[r - 1], starts[r]):
+                for s in range(k):
+                    candidate = members[mid] * symbols[s]
+                    if members[ball.edges[mid * k + s]] is not candidate:
+                        assert candidate.sections is None
+        if r == radius:
+            break
+    released = members[:starts[radius - 1]]
+    for m in released:
+        assert letters_of(decompose(m)) == letters_of(reference_decompose(m))
+    sizes, edges = list(ball.sizes), ball.edges.tobytes()
+    clear_caches()
+    again = enumerate_ball(genset, radius)
+    assert again.sizes == sizes and again.edges.tobytes() == edges
 
 
 def test_growth_estimates_rows():

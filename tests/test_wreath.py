@@ -111,11 +111,12 @@ def test_trie_node_is_its_prefix_and_last_letter(ws):
 
 def test_intern_table_is_a_trie():
     Element((XBAR.letters[0], X, U4BAR.letters[0], Y))
-    assert wreath._ELEMENTS[None, None] is E
-    for key, e in wreath._ELEMENTS.items():
-        if e is not E:
-            assert key == (e.prefix, e.last)
-            assert wreath._ELEMENTS[e.prefix.prefix, e.prefix.last] is e.prefix
+    assert wreath._CHILDREN[None] == {None: E}
+    for last, children in wreath._CHILDREN.items():
+        for prefix, e in children.items():
+            if e is not E:
+                assert (prefix, last) == (e.prefix, e.last)
+                assert wreath._CHILDREN[prefix.last][prefix.prefix] is prefix
 
 
 def test_long_word_walks_its_prefix_chain_in_a_loop():
@@ -152,7 +153,7 @@ def test_engine_stats_counts():
     assert wreath.engine_stats() == {
         "decompose_cache": len(read),
         "signature_cache": len(read),
-        "elements": len(wreath._ELEMENTS),
+        "elements": sum(len(children) for children in wreath._CHILDREN.values()),
         "perms": len(fano._PERMS),
     }
 
