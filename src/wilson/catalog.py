@@ -16,7 +16,6 @@ from .wreath import (
     Atom,
     Element,
     atom_element,
-    decompose,
     equals,
     is_identity,
     perm_element,
@@ -182,23 +181,17 @@ def make_free_quadruple(pair: tuple[Perm, Perm] | None = None) -> FreeQuadruple:
 
 
 def _verify_free_decompositions(q: FreeQuadruple) -> None:
+    """Each letter is ``<bar(w), w, 1, ..., 1> r`` for its (root r, barred w)
+    and its root r exchanges 1 and 2."""
     expected = {
         "a": (q.u, q.u), "b": (q.v, q.u), "c": (q.u, q.v), "d": (q.v, q.v),
     }
     for name, (root, barred) in expected.items():
-        e = getattr(q, name)
-        nf = decompose(e)
-        if nf.root != root:
-            raise RuntimeError(f"{name}: unexpected root {nf.root!r}")
         if not (root.apply(1) == 2 and root.apply(2) == 1):
             raise RuntimeError(f"{name}: root does not exchange 1 and 2")
-        if not equals(nf.sections[0], make_abar(barred)):
-            raise RuntimeError(f"{name}: first section mismatch")
-        if not equals(nf.sections[1], perm_element(barred)):
-            raise RuntimeError(f"{name}: second section mismatch")
-        for i in range(2, 7):
-            if not is_identity(nf.sections[i]):
-                raise RuntimeError(f"{name}: section {i + 1} not trivial")
+        nf = _nf(root, {1: make_abar(barred), 2: perm_element(barred)})
+        if not equals(getattr(q, name), nf):
+            raise RuntimeError(f"{name}: unexpected node form")
 
 
 # relation is "equal" (lhs = rhs) or "not-identity" (lhs != 1, rhs None)

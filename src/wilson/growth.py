@@ -60,14 +60,12 @@ class Deduper:
         self.depth = START_SIG_DEPTH
         self.elements: list[Element] = []
         self._index: dict[int, int] = {}
-        self._missed = self._missed_sig = None  # the last miss at this depth
 
     def find(self, e: Element) -> int | None:
         while True:
             sig = signature(e, self.depth)
             i = self._index.get(sig)
             if i is None:
-                self._missed, self._missed_sig = e, sig
                 return None
             if equals(e, self.elements[i]):
                 return i
@@ -76,16 +74,14 @@ class Deduper:
             self._rebuild()
 
     def add(self, e: Element) -> int:
-        """Append e, which a ``find`` has just missed, and index it under
-        the signature that miss computed."""
-        sig = self._missed_sig if e is self._missed else signature(e, self.depth)
+        """Append e, which a ``find`` has just missed, and index it under its
+        signature, which that miss left in the memo."""
         idx = len(self.elements)
         self.elements.append(e)
-        self._index[sig] = idx
+        self._index[signature(e, self.depth)] = idx
         return idx
 
     def _rebuild(self) -> None:
-        self._missed = None  # its signature was taken at the old depth
         self._index = {signature(m, self.depth): i
                        for i, m in enumerate(self.elements)}
 
@@ -111,19 +107,22 @@ def _effective_symbols(genset: GeneratingSet):
 
 class Ball:
     """A Cayley ball: ``members`` is the search's ``Deduper.elements`` list,
-    ``sizes`` the cumulative ball sizes by radius, and ``edges[m * k + s]`` the
-    member reached from member m by symbol s, or -1."""
+    ``sizes`` the cumulative ball sizes by radius 0..``radius``, and
+    ``edges[m * k + s]`` the member reached from member m by symbol s, or -1."""
 
-    __slots__ = ("genset", "radius", "members", "sizes", "edges", "symbol_names")
+    __slots__ = ("genset", "members", "sizes", "edges", "symbol_names")
 
-    def __init__(self, genset: GeneratingSet, radius: int, members: list[Element],
+    def __init__(self, genset: GeneratingSet, members: list[Element],
                  sizes: list[int], edges: array, symbol_names: tuple[str, ...]):
         self.genset = genset
-        self.radius = radius
         self.members = members
         self.sizes = sizes
         self.edges = edges
         self.symbol_names = symbol_names
+
+    @property
+    def radius(self) -> int:
+        return len(self.sizes) - 1
 
     @property
     def size(self) -> int:
@@ -164,7 +163,7 @@ def balls(genset: GeneratingSet) -> Iterator[Ball]:
     blank = array("i", [-1]) * k
     dedup = Deduper()
     dedup.add(Element())
-    ball = Ball(genset, 0, dedup.elements, [1], array("i", blank),
+    ball = Ball(genset, dedup.elements, [1], array("i", blank),
                 tuple(name for name, _ in syms))
     members, edges = ball.members, ball.edges
     done = start = 0  # members[done:start] have depth r - 1, members[start:] depth r
@@ -188,7 +187,6 @@ def balls(genset: GeneratingSet) -> Iterator[Ball]:
         for mid in range(done, start):  # depth r - 1: never read again
             members[mid].sections = None
         done, start = start, end
-        ball.radius += 1
         ball.sizes.append(len(members))
 
 

@@ -166,24 +166,24 @@ def geodesic_delta_stats(ball, eta: float) -> list[dict]:
         raise ValueError("eta must lie in (0, 1]")
     if len(ball.genset) != 3:
         raise ValueError("stats need a 3-symbol generating set")
-    by_length: dict[int, list[str]] = {}
+    counts_by_length: dict[int, list[int]] = {}
     for word in ball.geodesics():
         if not word:
             continue
-        by_length.setdefault(len(word), []).append(
-            "".join(ALPHABET[i] for i in word)
+        counts_by_length.setdefault(len(word), []).append(
+            count_delta_occurrences("".join(ALPHABET[i] for i in word))
         )
     rows = []
-    for n in sorted(by_length):
-        words = by_length[n]
+    for n in sorted(counts_by_length):
+        counts = counts_by_length[n]
         threshold = eta * n
-        below = sum(1 for w in words if count_delta_occurrences(w) <= threshold)
-        at_least = sum(1 for w in words if count_delta_occurrences(w) >= threshold)
+        below = sum(1 for c in counts if c <= threshold)
+        at_least = sum(1 for c in counts if c >= threshold)
         bound = finite_bound_F_less(n, eta) if eta < 1.0 else float("inf")
         rows.append(
             {
                 "n": n,
-                "geodesics": len(words),
+                "geodesics": len(counts),
                 "count_below": below,
                 "count_at_least": at_least,
                 "bound": bound,

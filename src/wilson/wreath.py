@@ -230,15 +230,13 @@ def decompose(e: Element) -> Element:
         if letter.__class__ is Perm:
             root = root * letter
             continue
-        pairs = letter.nontrivial
-        if pairs:
-            new = list(secs)
-            back = root.inverse().images  # section q lands on point q.root^-1
-            for q, s in pairs:
-                p = back[q] - 1
-                prev = secs[p]
-                new[p] = s if prev is _E else prev * s
-            secs = tuple(new)
+        new = list(secs)
+        back = root.inverse().images  # section q lands on point q.root^-1
+        for q, s in letter.nontrivial:
+            p = back[q] - 1
+            prev = secs[p]
+            new[p] = s if prev is _E else prev * s
+        secs = tuple(new)
         root = root * letter.root
     e.root, e.sections = root, secs
     return e

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wilson.catalog import (
+    _nf,
+    _verify_free_decompositions,
     abar_act_prefix,
     check_claim,
     identity_catalog,
@@ -121,6 +123,29 @@ def test_free_quadruple_canonical():
         assert root.apply(1) == 2 and root.apply(2) == 1
     for e, f in itertools.combinations([q.a, q.b, q.c, q.d], 2):
         assert not equals(e, f)
+
+
+def test_verify_free_decompositions_names_a_wrong_letter():
+    q = make_free_quadruple()
+    _verify_free_decompositions(q)
+    def nf(root, barred, extra):  # <bar(barred), barred, 1, ..., 1> root, amended
+        return _nf(root, {1: make_abar(barred), 2: perm_element(barred), **extra})
+
+    wrongs = {  # the expected (root, barred) are a: (u, u), b: (v, u), c: (u, v), d: (v, v)
+        "a": q._replace(a=q.b),  # wrong root
+        "b": q._replace(b=q.d),  # right root, wrong first and second sections
+        "c": q._replace(c=nf(q.u, q.v, {2: perm_element(q.u)})),  # wrong second section
+        "d": q._replace(d=nf(q.v, q.v, {7: perm_element(X)})),  # nontrivial seventh section
+    }
+    for name, bad in wrongs.items():
+        with pytest.raises(RuntimeError, match=f"^{name}: unexpected node form"):
+            _verify_free_decompositions(bad)
+
+
+def test_verify_free_decompositions_needs_roots_exchanging_1_and_2():
+    q = make_free_quadruple()
+    with pytest.raises(RuntimeError, match="^a: root does not exchange 1 and 2"):
+        _verify_free_decompositions(q._replace(u=Perm.identity()))
 
 
 def test_swapper_pairs_count():
