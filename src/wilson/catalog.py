@@ -61,9 +61,7 @@ def make_abar(a: Perm) -> Element:
     if a.is_identity():
         return Element()
     atom = Atom(f"bar[{a.cycles()}]", Perm.identity())
-    atom.sections = (atom_element(atom), perm_element(a), _E, _E, _E, _E, _E)
-    if (a * a).is_identity():
-        atom.certify_involution()
+    atom.sections = {1: atom_element(atom), 2: perm_element(a)}
     return atom_element(atom)
 
 
@@ -83,23 +81,34 @@ def abar_act_prefix(s: str, a: Perm) -> str:
     return s
 
 
+# each primed atom's root and the one point its section sits at
+_PRIMING = ((X, 4), (Y, 1), (Z, 2))
+
+
+def _primed(names, sections=(None, None, None)) -> tuple[Element, ...]:
+    """The atoms ``<1,...,g,...,1> r`` for the (root r, point) pairs of
+    ``_PRIMING``, with g the given section, or the atom itself when no
+    sections are given: the fixed point of priming."""
+    atoms = []
+    for name, (root, point), g in zip(names, _PRIMING, sections):
+        atom = Atom(name, root)
+        atom.sections = {point: atom_element(atom) if g is None else g}
+        atoms.append(atom_element(atom))
+    return tuple(atoms)
+
+
 @functools.cache
 def prime_triple(a: Element, b: Element, c: Element, names=("a'", "b'", "c'")):
     """The priming transform on a triple of involutions.
 
     a' = <1,1,1,a,1,1,1> x,  b' = <b,1,...,1> y,  c' = <1,c,1,...,1> z.
-    Inputs must be involutions (engine-checked); outputs are involutions
-    because x fixes 4, y fixes 1 and z fixes 2.
+    Inputs must be involutions; the outputs are then involutions too, because
+    x fixes 4, y fixes 1 and z fixes 2, and the engine finds them so.
     """
     for t in (a, b, c):
         if not is_identity(t * t):
             raise ValueError(f"priming requires involutions, got {t!r}")
-    pa = Atom(names[0], X, (_E, _E, _E, a, _E, _E, _E))
-    pb = Atom(names[1], Y, (b, _E, _E, _E, _E, _E, _E))
-    pc = Atom(names[2], Z, (_E, c, _E, _E, _E, _E, _E))
-    for atom in (pa, pb, pc):
-        atom.certify_involution()
-    return atom_element(pa), atom_element(pb), atom_element(pc)
+    return _primed(names, (a, b, c))
 
 
 @functools.cache
@@ -109,11 +118,9 @@ def make_S(n: int) -> GeneratingSet:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
-        a = Atom("S1.a", X, (_E, make_abar(X), _E, perm_element(X), _E, _E, _E))
-        b = Atom("S1.b", Y, (perm_element(Y), _E, _E, make_abar(Y), _E, _E, _E))
-        c = Atom("S1.c", Z, (make_abar(Z), perm_element(Z), _E, _E, _E, _E, _E))
-        for atom in (a, b, c):
-            atom.certify_involution()
+        a = Atom("S1.a", X, {2: make_abar(X), 4: perm_element(X)})
+        b = Atom("S1.b", Y, {1: perm_element(Y), 4: make_abar(Y)})
+        c = Atom("S1.c", Z, {1: make_abar(Z), 2: perm_element(Z)})
         symbols = (("a", atom_element(a)), ("b", atom_element(b)), ("c", atom_element(c)))
         return GeneratingSet("S:1", symbols)
     triple = make_S(1).elements()
@@ -125,18 +132,8 @@ def make_S(n: int) -> GeneratingSet:
 @functools.cache
 def make_tilde() -> GeneratingSet:
     """The self-similar fixed point of priming: x~, y~, z~."""
-    tx = Atom("x~", X)
-    ty = Atom("y~", Y)
-    tz = Atom("z~", Z)
-    tx.sections = (_E, _E, _E, atom_element(tx), _E, _E, _E)
-    ty.sections = (atom_element(ty), _E, _E, _E, _E, _E, _E)
-    tz.sections = (_E, atom_element(tz), _E, _E, _E, _E, _E)
-    for atom in (tx, ty, tz):
-        atom.certify_involution()
-    return GeneratingSet(
-        "tilde",
-        (("x~", atom_element(tx)), ("y~", atom_element(ty)), ("z~", atom_element(tz))),
-    )
+    names = ("x~", "y~", "z~")
+    return GeneratingSet("tilde", tuple(zip(names, _primed(names))))
 
 
 class FreeQuadruple(namedtuple("FreeQuadruple", "u v a b c d")):
@@ -209,11 +206,8 @@ def check_claim(claim: CatalogClaim) -> bool:
 
 def _nf(root: Perm, sections: dict[int, Element]) -> Element:
     """The element ``<g_1,...,g_7> root`` (unset g_p are 1), as an anonymous atom."""
-    secs = [_E] * 7
-    for pos, el in sections.items():
-        secs[pos - 1] = el
-    name = f"<{','.join(map(repr, secs))}>{root.cycles()}"
-    return atom_element(Atom(name, root, tuple(secs)))
+    secs = ",".join(repr(sections.get(p, _E)) for p in range(1, 8))
+    return atom_element(Atom(f"<{secs}>{root.cycles()}", root, sections))
 
 
 def identity_catalog() -> list[CatalogClaim]:
@@ -324,8 +318,7 @@ def identity_catalog() -> list[CatalogClaim]:
             "invol-prime",
             "<1,bar(x),1,...,1> a = <1,1,1,x,1,1,1> x",
             "equal",
-            atom_element(Atom("<1,bar(x),1,...,1>", one,
-                              (_E, xb, _E, _E, _E, _E, _E))) * sa,
+            atom_element(Atom("<1,bar(x),1,...,1>", one, {2: xb})) * sa,
             pa,
         ),
         CatalogClaim(

@@ -45,7 +45,7 @@ CAPS = {
 SIZE_COLUMNS = ["radius", "ball_size", "sphere_size", "estimate_root", "estimate_ratio"]
 
 
-def _parse_genset(selector: str, allow_free: bool = False):
+def _parse_genset(selector: str):
     if selector == "base":
         return make_base()
     if selector == "tilde":
@@ -56,9 +56,6 @@ def _parse_genset(selector: str, allow_free: bool = False):
             return make_S(int(level))
         raise ValueError(f"bad generating set {selector!r}: the level n of S:n must "
                          "be an integer >= 1")
-    if selector == "free" and allow_free:
-        q = make_free_quadruple()
-        return GeneratingSet("free", (("a", q.a), ("b", q.b), ("c", q.c), ("d", q.d)))
     raise ValueError(f"unknown generating set {selector!r}")
 
 
@@ -216,7 +213,11 @@ def cmd_local_iso(args) -> tuple[str, int]:
 
 
 def cmd_act(args) -> tuple[str, int]:
-    genset = _parse_genset(args.genset, allow_free=True)
+    if args.genset == "free":
+        q = make_free_quadruple()
+        genset = GeneratingSet("free", (("a", q.a), ("b", q.b), ("c", q.c), ("d", q.d)))
+    else:
+        genset = _parse_genset(args.genset)
     table = dict(genset.symbols)
     e = Element()
     for token in args.word.split():

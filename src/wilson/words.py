@@ -29,9 +29,6 @@ def reduced_words(n: int) -> Iterator[str]:
     """All reduced words of length exactly n, in lexicographic order."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        yield ""
-        return
 
     def extend(prefix: str):
         if len(prefix) == n:

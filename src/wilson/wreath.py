@@ -2,9 +2,10 @@
 
 An :class:`Element` is a normalized word whose letters are plain root
 permutations (:class:`~wilson.fano.Perm`) and named recursive atoms
-(:class:`Atom`).  The inverse of an atom is again an atom, built once and
-cached, and an atom certified as an involution is its own inverse, so a word
-never carries exponents.  Elements are the hash-consed nodes of one prefix
+(:class:`Atom`), each written ``<g_1,...,g_7> a``.  The inverse of an atom is
+again an atom, built once and cached; an atom the engine finds to be an
+involution when its sections are set is its own inverse, so a word never
+carries exponents.  Elements are the hash-consed nodes of one prefix
 trie: an element holds the element of its word without the last letter and
 that letter, so each normal word is one object and two elements have the
 same word exactly when they are the same object.  The intern table files
@@ -41,60 +42,55 @@ class StateBudgetExceeded(RuntimeError):
 
 
 class Atom:
-    """A named transformation given by a root permutation and 7 section elements.
+    """The transformation ``<g_1,...,g_7> a``: root permutation ``a`` and
+    sections given as a map ``{p: g_p}`` over the points 1..7, omitted points
+    trivial.
 
-    Sections may refer back to the atom itself (e.g. the recursive copies of
-    the base reflections).  ``inverse`` returns the inverse atom, named
-    ``name^-1``; the two atoms are linked to each other, so a word cancels an
-    atom against its inverse.  An atom becomes its own inverse only through
-    ``certify_involution``, which first checks ``atom * atom == 1`` exactly.
-
-    Setting ``sections`` also sets ``nontrivial``, the ``(point index,
-    section)`` pairs of the sections with a nonempty word: the only ones
-    ``decompose`` visits.
+    ``nontrivial`` holds the ``(point index, section)`` pairs with a nonempty
+    word, by index: the only sections ``decompose`` visits, and the only form
+    stored; ``sections`` reads them back as a dense 7-tuple.  Sections may be
+    set after construction, and may refer to the atom itself (the recursive
+    copies of the base reflections) or to atoms whose sections are already
+    set.  Setting them on an atom with no linked inverse decides whether it
+    is an involution, by checking ``atom * atom == 1`` exactly; an involution
+    becomes its own inverse.  Otherwise ``inverse`` builds the inverse atom,
+    named ``name^-1``, and links the two, so a word cancels an atom against
+    its inverse.
     """
 
-    __slots__ = ("name", "root", "_sections", "nontrivial", "_inverse")
+    __slots__ = ("name", "root", "nontrivial", "_inverse")
 
     def __init__(self, name: str, root: Perm, sections=None):
         self.name = name
         self.root = root
-        self.sections = sections  # tuple of 7 Elements, may be filled in late
         self._inverse: Atom | None = None
+        if sections is not None:  # until set, ``decompose`` fails on the atom
+            self.sections = sections
 
     @property
-    def sections(self):
-        return self._sections
+    def sections(self) -> tuple:
+        secs = [_E] * DEGREE
+        for q, s in self.nontrivial:
+            secs[q] = s
+        return tuple(secs)
 
     @sections.setter
-    def sections(self, sections) -> None:
-        self._sections = sections
-        if sections is not None:  # until then ``decompose`` fails on the atom
-            self.nontrivial = tuple((q, s) for q, s in enumerate(sections) if s is not _E)
+    def sections(self, sections: dict) -> None:
+        self.nontrivial = tuple((p - 1, s) for p, s in sorted(sections.items()) if s is not _E)
+        if self._inverse is None:
+            e = Element((self,))
+            if is_identity(e * e):
+                self._inverse = self
 
     def inverse(self) -> "Atom":
-        """The inverse of ``<g_p> a``: root ``a^-1``, section at q ``(g_{q.a^-1})^-1``."""
+        """The inverse of ``<g_p> a``: root ``a^-1``, section at ``p.a`` ``g_p^-1``."""
         inv = self._inverse
         if inv is None:
-            root = self.root.inverse()
-            inv = Atom(self.name + "^-1", root)
+            inv = Atom(self.name + "^-1", self.root.inverse())
             # link first: the sections of a self-referential atom need ``inv``
             self._inverse, inv._inverse = inv, self
-            inv.sections = tuple(
-                self.sections[root.apply(q) - 1].inverse() for q in range(1, DEGREE + 1)
-            )
+            inv.sections = {self.root.apply(q + 1): s.inverse() for q, s in self.nontrivial}
         return inv
-
-    def certify_involution(self) -> None:
-        """Check ``self * self == 1`` exactly, then make the atom its own inverse."""
-        inv = self._inverse
-        if inv is not None and inv is not self:
-            # words holding the older inverse would never cancel against self
-            raise ValueError(f"{self.name} already has the distinct inverse {inv.name}")
-        el = Element((self,))
-        if not is_identity(el * el):
-            raise ValueError(f"{self.name} is not an involution")
-        self._inverse = self
 
     def __repr__(self):
         return self.name

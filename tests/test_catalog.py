@@ -86,8 +86,21 @@ def test_prime_triple_sections():
 
 
 def test_prime_triple_rejects_non_involutions():
-    with pytest.raises(ValueError):
-        prime_triple(make_abar(X * Y), make_abar(Y), make_abar(Z))
+    good = [make_abar(X), make_abar(Y), make_abar(Z)]
+    for k, bad in enumerate((make_abar(X * Y), perm_element(X * Y), make_abar(X) * make_abar(Y))):
+        triple = good[:k] + [bad] + good[k + 1:]
+        with pytest.raises(ValueError, match="^priming requires involutions, got "):
+            prime_triple(*triple)
+
+
+def test_every_generator_squares_to_the_empty_word():
+    """The engine finds each generator an involution when it is built, so its
+    square cancels letter by letter."""
+    gensets = [make_base(), *(make_S(n) for n in (1, 2, 3)), make_tilde()]
+    bars = [make_abar(a) for a in A_ELEMENTS if (a * a).is_identity()]
+    assert len(bars) == 22  # the identity's and the 21 involutions'
+    for g in [*(e for gs in gensets for e in gs.elements()), *bars]:
+        assert (g * g).letters == (), g
 
 
 def test_make_S():

@@ -100,6 +100,10 @@ def test_act(capsys):
                        "--string", "15")
     assert code == 0
     assert out == "55\n"
+    # the free-monoid quadruple is a generating set of ``act`` alone
+    code, out, _ = run(capsys, "act", "--genset", "free", "--word", "a d",
+                       "--string", "12121")
+    assert (code, out) == (0, "11221\n")
 
 
 def test_curves(capsys):
@@ -141,6 +145,7 @@ USAGE_ERRORS = {
     30: (["act", "--genset", "tilde", "--word", "q", "--string", "1"],
          "unknown symbol 'q'"),
     31: (["ball", "--genset", "S:\u0662", "--radius", "2"], "'S:\u0662'"),
+    32: (["ball", "--genset", "free", "--radius", "2"], "unknown generating set 'free'"),
 }
 
 

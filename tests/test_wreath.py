@@ -34,7 +34,7 @@ TILDE = make_tilde()
 # an inverse atom permutes its sections
 U4BAR = make_abar(Perm.from_cycles((1, 2), (4, 5, 7, 6)))
 XYBAR = make_abar(X * Y)
-W = atom_element(Atom("w", X * Y, (E, E, XBAR, E, E, YE, E)))
+W = atom_element(Atom("w", X * Y, {3: XBAR, 6: YE}))
 
 ATOMS = [XE, YE, ZE, XBAR, YBAR, ZBAR, *S1.elements(), *TILDE.elements(),
          U4BAR, XYBAR, U4BAR.inverse(), W]
@@ -238,12 +238,18 @@ def reachable_atoms(elements):
     return seen
 
 
-def test_nontrivial_sections_table():
+def catalog_atoms():
+    """The atoms reachable from every generating set, every bar(a) and the
+    test atoms."""
     quad = make_free_quadruple()
     roots = [*make_base().elements(), *TILDE.elements(), quad.a, quad.b, quad.c,
              quad.d, *(make_abar(p) for p in psl32().sorted_elements()), U4BAR, XYBAR, W,
              *(e for n in (1, 2, 3) for e in make_S(n).elements())]
-    atoms = reachable_atoms(roots)
+    return reachable_atoms(roots)
+
+
+def test_nontrivial_sections_table():
+    atoms = catalog_atoms()
     assert len(atoms) > 170
     for atom in atoms:
         assert atom.nontrivial == tuple(
@@ -252,8 +258,9 @@ def test_nontrivial_sections_table():
     late = Atom("late", X)
     with pytest.raises(AttributeError):
         decompose(atom_element(late))
-    late.sections = (E, XBAR, E, E, atom_element(late), E, E)
+    late.sections = {5: atom_element(late), 2: XBAR}
     assert late.nontrivial == ((1, XBAR), (4, atom_element(late)))
+    assert late.sections == (E, XBAR, E, E, atom_element(late), E, E)
 
 
 @given(atom_words, atom_words)
@@ -324,23 +331,43 @@ def test_inverse_atom_letters():
     assert repr(U4BAR.inverse()) == repr(U4BAR) + "^-1"
 
 
-def test_certify_involution():
-    s = Atom("s", X, (E,) * 7)
-    s.certify_involution()
+STRINGS = ["".join(t) for n in range(4) for t in itertools.product("1234567", repeat=n)]
+
+
+def test_an_atom_is_its_own_inverse_iff_it_is_an_involution():
+    for atom in catalog_atoms():
+        a = atom_element(atom)
+        if atom.inverse() is atom:  # a * a cancels: read the square's action
+            assert all(act(a, act(a, s)) == s for s in STRINGS), atom
+        else:  # a * a is a word of two letters
+            assert not is_identity(a * a), atom
+    s = Atom("s", X, {})
     assert s.inverse() is s
-    assert (atom_element(s) * atom_element(s)).letters == ()
+    # x fixes 4, where the section has order 4
+    r = Atom("r", X, {4: U4BAR})
+    assert r.inverse() is not r
 
 
-def test_certify_rejects_non_involution():
-    with pytest.raises(ValueError, match="not an involution"):
-        Atom("r", X * Y, (E,) * 7).certify_involution()
+def test_a_non_involution_gets_a_distinct_linked_inverse():
+    r = Atom("r", X * Y, {})
+    inv = r.inverse()
+    assert inv is not r and inv.name == "r^-1" and inv.root == (X * Y).inverse()
+    assert inv.inverse() is r and r.inverse() is inv
+    g = atom_element(r)
+    assert (g * atom_element(inv)).letters == () and (g * g).letters == (r, r)
+    # the section at p.a of the inverse of <g_p> a is g_p^-1
+    w = W.letters[0]
+    assert w.inverse().nontrivial == tuple(sorted(
+        (w.root.apply(q + 1) - 1, s.inverse()) for q, s in w.nontrivial))
 
 
-def test_certify_rejects_atom_with_distinct_inverse():
-    s = Atom("s", X, (E,) * 7)
-    s.inverse()
-    with pytest.raises(ValueError, match="distinct inverse"):
-        s.certify_involution()
+def test_setting_sections_late_decides_the_question():
+    # bar(x) read with late sections, and a copy with a section of order 4
+    late, odd = Atom("late", Perm.identity()), Atom("odd", Perm.identity())
+    late.sections = {1: atom_element(late), 2: XE}
+    odd.sections = {1: atom_element(odd), 2: perm_element(X * Y)}
+    assert late.inverse() is late and equals(atom_element(late), XBAR)
+    assert odd.inverse() is not odd and equals(atom_element(odd), XYBAR)
 
 
 def test_power_of_involution():
@@ -427,7 +454,7 @@ def truncated_bar(a, depth):
     t_0 = 1, so it differs from bar(a) first on strings of length depth + 2."""
     t = E
     for _ in range(depth):
-        t = atom_element(Atom("t", Perm.identity(), (t, perm_element(a), E, E, E, E, E)))
+        t = atom_element(Atom("t", Perm.identity(), {1: t, 2: perm_element(a)}))
     return t
 
 
@@ -446,7 +473,7 @@ def test_equals_closure_cases(monkeypatch):
     # of equal section words are not followed, so one pair suffices
     g = XBAR * S1.elements()[0]
     nf = decompose(g)
-    twin = atom_element(Atom("twin", nf.root, nf.sections))
+    twin = atom_element(Atom("twin", nf.root, dict(enumerate(nf.sections, 1))))
     monkeypatch.setattr(wreath, "STATE_BUDGET", 1)
     assert g != twin and equals(g, twin) and equals(twin, g)
 
