@@ -28,8 +28,10 @@ reference counting.  So it leaves the cyclic collector alone, and its
 collections never free anything; a library caller that wants the CLI's speed
 disables the collector around the call itself.
 
-The :class:`Deduper` index maps each signature to one member's index, an
-``int``: members are added only after a lookup misses, so none share one.
+The :class:`Deduper` index maps each member's node key (``wreath.node_key``:
+its root and seven child signatures) to the member's index: members are added
+only after a lookup misses, so none share one.  The keys are neither memoized
+nor interned, so they live in the index alone and die with the search.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from array import array
 from collections.abc import Iterator
 
 from .catalog import GeneratingSet, make_S, make_free_quadruple, make_tilde
-from .wreath import Element, equals, is_identity, signature
+from .wreath import Element, equals, is_identity, node_key
 
 START_SIG_DEPTH = 3
 REFINE_LEN = 3  # the free-monoid check's {a, b, c, d}-words reach this length
@@ -51,20 +53,21 @@ class Deduper:
     The signature depth starts at ``START_SIG_DEPTH`` and is raised whenever
     an exact test distinguishes two digest-equal elements; the exact closure
     test is always the authority, signatures only accelerate.  The index maps
-    a signature to one member's index: ``add`` follows a miss of ``find``, so
-    no two members share a signature, and a deeper signature still tells
-    them apart, since it determines the shallower one.
+    a member's node key at the current depth to its index: ``add`` follows a
+    miss of ``find``, so no two members share a key, and a deeper key still
+    tells them apart, since it determines the shallower one.  A key is
+    computed afresh by each ``find`` and ``add``, from the signatures of the
+    member's sections, and is stored only in the index.
     """
 
     def __init__(self):
         self.depth = START_SIG_DEPTH
         self.elements: list[Element] = []
-        self._index: dict[int, int] = {}
+        self._index: dict[tuple, int] = {}
 
     def find(self, e: Element) -> int | None:
         while True:
-            sig = signature(e, self.depth)
-            i = self._index.get(sig)
+            i = self._index.get(node_key(e, self.depth))
             if i is None:
                 return None
             if equals(e, self.elements[i]):
@@ -75,14 +78,15 @@ class Deduper:
 
     def add(self, e: Element) -> int:
         """Append e, which a ``find`` has just missed, and index it under its
-        signature, which that miss left in the memo."""
+        node key, read from the node form and child signatures that miss
+        left behind."""
         idx = len(self.elements)
         self.elements.append(e)
-        self._index[signature(e, self.depth)] = idx
+        self._index[node_key(e, self.depth)] = idx
         return idx
 
     def _rebuild(self) -> None:
-        self._index = {signature(m, self.depth): i
+        self._index = {node_key(m, self.depth): i
                        for i, m in enumerate(self.elements)}
 
 

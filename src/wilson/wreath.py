@@ -21,13 +21,16 @@ by the product rule.  A node form is a cache: a caller may drop it by setting
 ``sections`` to None, and ``decompose`` builds it again when it is next
 read.  An atom letter updates only the sections its atom has
 nontrivial (one or two of seven for the catalog's atoms, which are bounded
-automata), read from the atom's ``nontrivial`` table.  ``signature`` reads an
+automata), read from the atom's ``nontrivial`` table.  ``node_key`` reads an
 element's seven child signatures from the memo of the depth below in one
-C-level ``map`` and recurses only for the missing ones.  ``equals`` is the
-one exact equality test: ``g = h`` iff their roots agree and ``g_p = h_p`` at
-every point p, so it closes the pair ``(g, h)`` under taking sections.  The
-closure terminates because atom sections are again atoms or permutations, so
-section words never grow and only finitely many pairs of them are reachable.
+C-level ``map``, and through ``signature`` only when one is missing there.
+``signature`` is that key memoized and interned; it serves the sections,
+which are few and whose signatures many keys share, while a ball member's key
+is kept by the ball search alone.  ``equals`` is the one exact equality test:
+``g = h`` iff their roots agree and ``g_p = h_p`` at every point p, so it
+closes the pair ``(g, h)`` under taking sections.  The closure terminates
+because atom sections are again atoms or permutations, so section words never
+grow and only finitely many pairs of them are reachable.
 """
 
 from __future__ import annotations
@@ -286,23 +289,39 @@ def act(e: Element, s: str) -> str:
 
 # Signatures are hash-consed encodings of the action on all strings of length
 # <= depth: equal elements get equal signatures at every depth, and comparing
-# two signatures is O(1).  ``_SIG_MEMO[depth]`` maps an element to its
-# signature at that depth; ``_SIG_INTERN`` numbers the nodes, each keyed by
-# one flat tuple: the hash-consed root permutation, then the seven child
-# signatures.
+# two signatures is O(1).  A node's key is one flat tuple: the hash-consed root
+# permutation, then the seven child signatures.  ``_SIG_MEMO[depth]`` maps an
+# element to its signature at that depth; ``_SIG_INTERN`` numbers the keys.
 _SIG_MEMO: dict[int, dict[Element, int]] = {}
 _SIG_INTERN: dict[tuple, int] = {}
-_LEAVES = (-1,) * DEGREE  # the seven depth-0 signatures under a depth-1 node
+
+
+def node_key(e: Element, depth: int) -> tuple:
+    """The key of ``e`` at ``depth`` >= 1: ``(e.root, *child signatures at
+    depth - 1)``.  Two elements have equal keys iff they have equal
+    signatures at ``depth``, and the key itself is neither memoized nor
+    interned, so a caller that keeps it (the ball search's index) holds the
+    only copy.
+
+    The child signatures are read from the memo of the depth below in one
+    C-level ``map``; only when one is missing there are the seven read
+    through ``signature``, which computes the missing ones.  A BFS candidate
+    shares all but one or two sections with the member it extends, and the
+    sections of a ball search are few, so the memo nearly always has them.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if e.sections is None:
+        decompose(e)
+    try:
+        return (e.root, *map(_SIG_MEMO[depth - 1].__getitem__, e.sections))
+    except KeyError:  # a child not signed yet, or no memo at depth - 1
+        return (e.root, *(signature(s, depth - 1) for s in e.sections))
 
 
 def signature(e: Element, depth: int) -> int:
-    """The signature of ``e`` at ``depth``.
-
-    The child signatures are read from the memo of the depth below in one
-    C-level ``map``; only children not found there are computed, by recursion.
-    A BFS candidate shares all but one or two sections with the member it
-    extends, whose children are already memoized.
-    """
+    """The signature of ``e`` at ``depth``: its ``node_key``, memoized per
+    element and interned as an ``int``."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if depth == 0:
@@ -312,16 +331,7 @@ def signature(e: Element, depth: int) -> int:
         memo = _SIG_MEMO[depth] = {}
     sig = memo.get(e)
     if sig is None:
-        decompose(e)
-        if depth == 1:
-            key = (e.root, *_LEAVES)
-        else:
-            below = _SIG_MEMO.setdefault(depth - 1, {})
-            key = (e.root, *map(below.get, e.sections))
-            if None in key:
-                key = (e.root, *(signature(s, depth - 1) if c is None else c
-                                 for s, c in zip(e.sections, key[1:])))
-        sig = memo[e] = _SIG_INTERN.setdefault(key, len(_SIG_INTERN))
+        sig = memo[e] = _SIG_INTERN.setdefault(node_key(e, depth), len(_SIG_INTERN))
     return sig
 
 

@@ -21,8 +21,8 @@ from wilson.growth import (
     sizes_csv_rows,
 )
 from wilson.catalog import make_abar
-from wilson.wreath import (Element, clear_caches, decompose, equals, is_identity,
-                           perm_element, signature)
+from wilson.wreath import (_SIG_INTERN, Element, clear_caches, decompose, engine_stats,
+                           equals, is_identity, node_key, perm_element, signature)
 
 from partition_oracle import least_levels, pairwise_ball_sizes, word_partition
 from test_wreath import letters_of, reference_decompose, truncated_bar
@@ -57,15 +57,15 @@ def test_deduper_modes_agree():
 
 def test_deduper_refines_a_shared_signature():
     """A miss on a member's signature raises the depth and re-indexes the
-    members, one index per signature.  bar(x) cut below depth 3 differs from
+    members, one index per node key.  bar(x) cut below depth 3 differs from
     bar(x) first on strings of length 5, so not at signature depth 3."""
     t, xbar = truncated_bar(X, 3), make_abar(X)
     assert signature(t, 3) == signature(xbar, 3) and not equals(t, xbar)
     dedup = Deduper()
     dedup.add(xbar)
-    assert dedup._index == {signature(xbar, 3): 0}
+    assert dedup._index == {node_key(xbar, 3): 0}
     assert dedup.find(t) is None and dedup.depth > 3
-    assert dedup._index == {signature(xbar, dedup.depth): 0}
+    assert dedup._index == {node_key(xbar, dedup.depth): 0}
     assert dedup.add(t) == 1 and dedup.find(t) == 1 and dedup.find(xbar) == 0
 
 
@@ -226,6 +226,18 @@ def test_ball_search_releases_node_forms_it_reads_no_more(genset):
     clear_caches()
     again = enumerate_ball(genset, radius)
     assert again.sizes == sizes and again.edges.tobytes() == edges
+
+
+@pytest.mark.parametrize("genset", [make_tilde(), make_S(1), make_S(2)],
+                         ids=["tilde", "S:1", "S:2"])
+def test_ball_search_leaves_no_signature_per_member(genset):
+    """The search keys its index by node keys that it alone holds, so the
+    signature tables keep only the sections' signatures, far fewer than the
+    ball's members."""
+    clear_caches()
+    ball = enumerate_ball(genset, 12)
+    assert engine_stats()["signature_cache"] < ball.size // 5
+    assert len(_SIG_INTERN) < ball.size // 5
 
 
 def test_growth_estimates_rows():

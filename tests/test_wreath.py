@@ -18,6 +18,7 @@ from wilson.wreath import (
     decompose,
     equals,
     is_identity,
+    node_key,
     perm_element,
     signature,
 )
@@ -513,8 +514,11 @@ def test_signature_matches_reference(ws, hs, r, depth):
                 if warm:  # a's node reads its children by ``map``, b's may recurse
                     for s in decompose(a).sections:
                         signature(s, depth - 1)
-                assert (signature(a, depth) == signature(b, depth)) == (
-                    reference_signature(a, depth) == reference_signature(b, depth))
+                same = reference_signature(a, depth) == reference_signature(b, depth)
+                assert (signature(a, depth) == signature(b, depth)) == same
+                assert (node_key(a, depth) == node_key(b, depth)) == same
+                for e in (a, b):
+                    assert signature(e, depth) == wreath._SIG_INTERN[node_key(e, depth)]
     finally:
         clear_caches()
 
