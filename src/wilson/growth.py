@@ -28,10 +28,12 @@ reference counting.  So it leaves the cyclic collector alone, and its
 collections never free anything; a library caller that wants the CLI's speed
 disables the collector around the call itself.
 
-The :class:`Deduper` index maps each member's node key (``wreath.node_key``:
-its root and seven child signatures) to the member's index: members are added
-only after a lookup misses, so none share one.  The keys are neither memoized
-nor interned, so they live in the index alone and die with the search.
+The :class:`Deduper` index maps the hash of each member's node key
+(``wreath.node_key``: its root and seven child signatures) to the member's
+index, and keeps a member's full key only when another member already owns its
+hash.  A hash is never taken for equality: a hit is confirmed by the member's
+recomputed key, then by ``equals``.  So the index holds one ``int`` per
+member, and the keys themselves are neither stored, memoized nor interned.
 """
 
 from __future__ import annotations
@@ -51,43 +53,63 @@ class Deduper:
     """Canonical-element index: signature-first with exact-equality fallback.
 
     The signature depth starts at ``START_SIG_DEPTH`` and is raised whenever
-    an exact test distinguishes two digest-equal elements; the exact closure
-    test is always the authority, signatures only accelerate.  The index maps
-    a member's node key at the current depth to its index: ``add`` follows a
-    miss of ``find``, so no two members share a key, and a deeper key still
-    tells them apart, since it determines the shallower one.  A key is
-    computed afresh by each ``find`` and ``add``, from the signatures of the
-    member's sections, and is stored only in the index.
+    an exact test distinguishes two members of equal node key; the exact
+    closure test is always the authority, signatures only accelerate.
+    ``add`` follows a miss of ``find``, so no two members share a key, and a
+    deeper key still tells them apart, since it determines the shallower one.
+
+    ``_index`` maps ``hash(key)`` to the member of that key at the current
+    depth; a member whose hash another member already owns is kept in
+    ``_clash`` under its full key.  ``find`` confirms a hash hit by the
+    member's recomputed key, reads ``_clash`` when that differs, and lets
+    ``equals`` decide.  In the ball search that member is a neighbour of the
+    member the candidate extends, whose node form the search still holds;
+    any other has it built again by ``decompose``.  ``find`` leaves the key
+    of its last miss for ``add``, so a key is computed once per candidate.
     """
 
     def __init__(self):
         self.depth = START_SIG_DEPTH
         self.elements: list[Element] = []
-        self._index: dict[tuple, int] = {}
+        self._index: dict[int, int] = {}
+        self._clash: dict[tuple, int] = {}
+        self._missed: tuple | None = None  # (element, key) of the last miss
 
     def find(self, e: Element) -> int | None:
         while True:
-            i = self._index.get(node_key(e, self.depth))
+            key = node_key(e, self.depth)
+            i = self._index.get(hash(key))
+            if i is not None and node_key(self.elements[i], self.depth) != key:
+                i = self._clash.get(key)
             if i is None:
+                self._missed = (e, key)
                 return None
             if equals(e, self.elements[i]):
                 return i
-            # digest-equal but exactly distinct: refine and retry
+            # key-equal but exactly distinct: refine and retry
             self.depth += 1
             self._rebuild()
 
     def add(self, e: Element) -> int:
         """Append e, which a ``find`` has just missed, and index it under its
-        node key, read from the node form and child signatures that miss
-        left behind."""
+        node key: the key that miss left, or computed afresh for any other
+        element."""
+        missed, self._missed = self._missed, None
+        key = missed[1] if missed is not None and missed[0] is e else node_key(e, self.depth)
         idx = len(self.elements)
         self.elements.append(e)
-        self._index[node_key(e, self.depth)] = idx
+        self._insert(key, idx)
         return idx
 
+    def _insert(self, key: tuple, idx: int) -> None:
+        if self._index.setdefault(hash(key), idx) != idx:
+            self._clash[key] = idx
+
     def _rebuild(self) -> None:
-        self._index = {node_key(m, self.depth): i
-                       for i, m in enumerate(self.elements)}
+        self._missed = None
+        self._index, self._clash = {}, {}
+        for i, m in enumerate(self.elements):
+            self._insert(node_key(m, self.depth), i)
 
 
 def _effective_symbols(genset: GeneratingSet):

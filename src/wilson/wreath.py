@@ -25,8 +25,9 @@ automata), read from the atom's ``nontrivial`` table.  ``node_key`` reads an
 element's seven child signatures from the memo of the depth below in one
 C-level ``map``, and through ``signature`` only when one is missing there.
 ``signature`` is that key memoized and interned; it serves the sections,
-which are few and whose signatures many keys share, while a ball member's key
-is kept by the ball search alone.  ``equals`` is the one exact equality test:
+which are few and whose signatures many keys share, while the ball search
+keeps a member's key only as its hash, and recomputes the key to confirm a
+hit.  ``equals`` is the one exact equality test:
 ``g = h`` iff their roots agree and ``g_p = h_p`` at every point p, so it
 closes the pair ``(g, h)`` under taking sections.  The closure terminates
 because atom sections are again atoms or permutations, so section words never
@@ -299,9 +300,9 @@ _SIG_INTERN: dict[tuple, int] = {}
 def node_key(e: Element, depth: int) -> tuple:
     """The key of ``e`` at ``depth`` >= 1: ``(e.root, *child signatures at
     depth - 1)``.  Two elements have equal keys iff they have equal
-    signatures at ``depth``, and the key itself is neither memoized nor
-    interned, so a caller that keeps it (the ball search's index) holds the
-    only copy.
+    signatures at ``depth``.  The key itself is neither memoized nor
+    interned: the ball search's index keeps only its hash, and the full key
+    only when another member's key has the same hash.
 
     The child signatures are read from the memo of the depth below in one
     C-level ``map``; only when one is missing there are the seven read

@@ -4,6 +4,7 @@ import weakref
 
 import pytest
 
+from wilson import growth
 from wilson.catalog import GeneratingSet, make_S, make_tilde, swapper_pairs
 from wilson.fano import X, Y, Z
 from wilson.growth import (
@@ -57,16 +58,59 @@ def test_deduper_modes_agree():
 
 def test_deduper_refines_a_shared_signature():
     """A miss on a member's signature raises the depth and re-indexes the
-    members, one index per node key.  bar(x) cut below depth 3 differs from
-    bar(x) first on strings of length 5, so not at signature depth 3."""
+    members, one index per node key's hash.  bar(x) cut below depth 3 differs
+    from bar(x) first on strings of length 5, so not at signature depth 3."""
     t, xbar = truncated_bar(X, 3), make_abar(X)
     assert signature(t, 3) == signature(xbar, 3) and not equals(t, xbar)
     dedup = Deduper()
     dedup.add(xbar)
-    assert dedup._index == {node_key(xbar, 3): 0}
+    assert dedup._index == {hash(node_key(xbar, 3)): 0} and dedup._clash == {}
     assert dedup.find(t) is None and dedup.depth > 3
-    assert dedup._index == {node_key(xbar, dedup.depth): 0}
+    assert dedup._index == {hash(node_key(xbar, dedup.depth)): 0} and dedup._clash == {}
     assert dedup.add(t) == 1 and dedup.find(t) == 1 and dedup.find(xbar) == 0
+
+
+def test_deduper_clash_path_is_exact(monkeypatch):
+    """With every key hashed alike, every member but the first is indexed by
+    its full key in ``_clash``, and every hash hit is a different member's:
+    the searches, the free-monoid check and the depth rise come out the same."""
+    gensets = (make_tilde(), make_S(1), make_S(2))
+    unpatched = [ball_sizes(genset, 10) for genset in gensets]
+    monkeypatch.setattr(growth, "hash", lambda key: 0, raising=False)
+    for genset, sizes in zip(gensets, unpatched):
+        assert ball_sizes(genset, 10) == sizes
+        assert sizes[:9] == pairwise_ball_sizes(genset, 8)
+    assert free_monoid_check(6)["all_ok"]
+    t, xbar = truncated_bar(X, 3), make_abar(X)
+    dedup = Deduper()
+    dedup.add(xbar)
+    assert dedup.find(t) is None and dedup.depth > 3
+    assert dedup.add(t) == 1 and dedup.find(t) == 1 and dedup.find(xbar) == 0
+    assert dedup._index == {0: 0} and dedup._clash == {node_key(t, dedup.depth): 1}
+
+
+def test_ball_search_keys_each_candidate_once(monkeypatch):
+    """``add`` reuses the key of the miss that ``find`` just made, so it
+    computes a key only for the root, which no lookup precedes."""
+    in_add, calls = [], []
+    key, add = growth.node_key, Deduper.add
+
+    def counted_key(e, depth):
+        if in_add:
+            calls.append(e)
+        return key(e, depth)
+
+    def counted_add(self, e):
+        in_add.append(e)
+        try:
+            return add(self, e)
+        finally:
+            in_add.pop()
+
+    monkeypatch.setattr(growth, "node_key", counted_key)
+    monkeypatch.setattr(Deduper, "add", counted_add)
+    ball = enumerate_ball(make_tilde(), 10)
+    assert ball.size == 1309 and calls == [Element()]
 
 
 def test_ball_radius_zero_and_one():
