@@ -113,21 +113,16 @@ class Deduper:
 
 
 def _effective_symbols(genset: GeneratingSet):
-    """(name, element, index-of-inverse) triples; inverses are appended for
-    any non-involutive symbol so that S = S^-1."""
+    """The search's symbols as ``(name, element)`` pairs, and the index of
+    each symbol's inverse: the set's own symbols, then ``name^-1`` for each
+    non-involutive one, in order, so that S = S^-1."""
     syms: list[tuple[str, Element]] = list(genset.symbols)
-    inverse_of: list[int] = []
-    base = len(syms)
-    extra = []
-    for i, (name, el) in enumerate(syms):
-        if is_identity(el * el):
+    inverse_of = list(range(len(syms)))
+    for i, (name, el) in enumerate(genset.symbols):
+        if not is_identity(el * el):
+            inverse_of[i] = len(syms)
             inverse_of.append(i)
-        else:
-            inverse_of.append(base + len(extra))
-            extra.append((f"{name}^-1", el.inverse(), i))
-    for name, el, inv in extra:
-        syms.append((name, el))
-        inverse_of.append(inv)
+            syms.append((f"{name}^-1", el.inverse()))
     return syms, inverse_of
 
 
@@ -354,6 +349,7 @@ def free_monoid_check(length: int, pair=None) -> dict:
             collisions.append([first[cid], w])
     distinct = len(first)
     expected = 2 ** (length + 1) - 1
+    distinct_ok = distinct == expected and not collisions
 
     classes: dict[int, list[str]] = {}
     for w, cid in _classed_words(quad, "abcd", REFINE_LEN):
@@ -371,12 +367,12 @@ def free_monoid_check(length: int, pair=None) -> dict:
         "length": length,
         "distinct": distinct,
         "expected": expected,
-        "distinct_ok": distinct == expected and not collisions,
+        "distinct_ok": distinct_ok,
         "collisions": collisions,
         "refine_len": REFINE_LEN,
         "refine_ok": refine_ok,
         "refine_counterexample": refine_counterexample,
-        "all_ok": distinct == expected and not collisions and refine_ok,
+        "all_ok": distinct_ok and refine_ok,
     }
 
 
@@ -384,6 +380,8 @@ def export_dot(genset: GeneratingSet, radius: int) -> str:
     """Deterministic DOT rendering of the ball of the given radius; involution
     edges are drawn once.  Its edges are the complete rows, read off the ball
     of radius ``radius + 1``."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     ball = enumerate_ball(genset, radius + 1)
     size = ball.sizes[radius]
     k = len(ball.symbol_names)

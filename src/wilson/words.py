@@ -62,25 +62,26 @@ def count_delta_occurrences(w: str) -> int:
 
 @functools.cache
 def pattern_automaton() -> tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]:
-    """The Aho-Corasick automaton of ``DELTA``, restricted to reduced words,
-    as ``(states, step)``.
+    """The Aho-Corasick automaton of the forbidden words ``DELTA`` and the
+    three squares ``aa``, ``bb``, ``cc``, as ``(states, step)``.
 
-    The states are the proper prefixes of the patterns, numbered in sorted
-    order, so state 0 is the empty word.  A pattern-free reduced word sits in
-    the state of its longest suffix that is such a prefix; every letter begins
-    a pattern, so a nonempty word's state ends in its last letter.
-    ``step[s][i]`` is the state after appending ``ALPHABET[i]``, or -1 when
-    that letter repeats the last one or completes a pattern.  Built on first
-    call, so importing this module builds nothing.
+    A word avoids the squares exactly when it is reduced, so the automaton
+    accepts the pattern-free reduced words.  The states are the proper
+    prefixes of the forbidden words, numbered in sorted order, so state 0 is
+    the empty word; the squares add no prefix, since every letter begins a
+    pattern.  A pattern-free reduced word sits in the state of its longest
+    suffix that is such a prefix, so a nonempty word's state ends in its last
+    letter.  ``step[s][i]`` is the state after appending ``ALPHABET[i]``, or
+    -1 when that letter completes a forbidden word.  Built on first call, so
+    importing this module builds nothing.
     """
-    states = tuple(sorted({p[:k] for p in DELTA for k in range(len(p))}))
+    forbidden = DELTA + tuple(ch + ch for ch in ALPHABET)
+    states = tuple(sorted({p[:k] for p in forbidden for k in range(len(p))}))
     index = {w: i for i, w in enumerate(states)}
 
     def target(state: str, ch: str) -> int:
-        if state.endswith(ch):
-            return -1
         grown = state + ch
-        if any(grown.endswith(p) for p in DELTA):
+        if any(grown.endswith(p) for p in forbidden):
             return -1
         return next(index[grown[k:]] for k in range(len(grown) + 1)
                     if grown[k:] in index)
@@ -145,7 +146,7 @@ def finite_bound_F_less(n: int, eta: float) -> float:
         raise ValueError("eta must lie in (0, 1)")
     if n < 1:
         raise ValueError("n must be >= 1")
-    k = min(n, math.ceil(eta * n))
+    k = math.ceil(eta * n)
     log_binom = (
         math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
     )
@@ -161,8 +162,8 @@ def geodesic_delta_stats(ball, eta: float) -> list[dict]:
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
-    if len(ball.genset) != 3:
-        raise ValueError("stats need a 3-symbol generating set")
+    if len(ball.symbol_names) != 3 or len(ball.genset) != 3:
+        raise ValueError("stats need a 3-symbol involutive generating set")
     counts_by_length: dict[int, list[int]] = {}
     for word in ball.geodesics():
         if not word:

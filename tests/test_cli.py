@@ -146,6 +146,7 @@ USAGE_ERRORS = {
          "unknown symbol 'q'"),
     31: (["ball", "--genset", "S:\u0662", "--radius", "2"], "'S:\u0662'"),
     32: (["ball", "--genset", "free", "--radius", "2"], "unknown generating set 'free'"),
+    33: (["ball", "--radius", "-1", "--format", "dot"], "radius must be >= 0"),
 }
 
 

@@ -22,12 +22,14 @@ def test_quotient_actions_are_the_generators_actions(genset):
                 assert action[i] == int("".join(str(int(ch) - 1) for ch in image), 7)
 
 
-@pytest.mark.parametrize("genset, d", [(make_tilde(), 2), (make_S(1), 3), (make_S(2), 3)],
+@pytest.mark.parametrize("genset, d, radius",
+                         [(make_tilde(), 2, 16), (make_S(1), 3, 12), (make_S(2), 3, 12)],
                          ids=["tilde-d2", "S:1-d3", "S:2-d3"])
-def test_quotient_balls_equal_the_ball_search(genset, d):
+def test_quotient_balls_equal_the_ball_search(genset, d, radius):
     """G_d tells apart every member of these balls, so a ball search that
-    merged two distinct elements would fall below it at some radius."""
-    assert quotient_ball_sizes(genset, d, 12) == ball_sizes(genset, 12)
+    merged two distinct elements would fall below it at some radius.  Each
+    radius is the one to which a benchmark workload searches that set."""
+    assert quotient_ball_sizes(genset, d, radius) == ball_sizes(genset, radius)
 
 
 def test_quotient_only_merges():

@@ -3,6 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from wilson.catalog import GeneratingSet, make_S
+from wilson.growth import enumerate_ball
 from wilson.words import (
     ALPHABET,
     DELTA,
@@ -10,6 +12,7 @@ from wilson.words import (
     count_delta_free,
     count_delta_occurrences,
     finite_bound_F_less,
+    geodesic_delta_stats,
     pattern_automaton,
     reduced_words,
     verify_lemma30,
@@ -155,6 +158,19 @@ def test_finite_bound_matches_direct_formula():
             k = min(n, math.ceil(eta * n))
             direct = k * 30.0**k * math.comb(n, k)
             assert finite_bound_F_less(n, eta) == pytest.approx(direct, rel=1e-9)
+
+
+def test_geodesic_stats_need_three_involutive_symbols():
+    # the search adds an inverse symbol for each non-involution, and the
+    # geodesics are transcribed onto a, b, c by symbol index
+    x, y, z = make_S(1).elements()
+    products = GeneratingSet("products", (("xy", x * y), ("yz", y * z), ("zx", z * x)))
+    mixed = GeneratingSet("mixed", (("x", x), ("xy", x * y)))
+    for genset in (products, mixed):
+        with pytest.raises(ValueError, match="3-symbol involutive"):
+            geodesic_delta_stats(enumerate_ball(genset, 2), 0.5)
+    rows = geodesic_delta_stats(enumerate_ball(make_S(1), 4), 0.5)
+    assert [row["n"] for row in rows] == [1, 2, 3, 4]
 
 
 def test_csv_rows():
