@@ -178,13 +178,14 @@ def cmd_lemma30(args) -> tuple[str, int]:
 
 
 def cmd_lambda(args) -> tuple[str, int]:
-    from .bounds import lambda_sequence
+    from .bounds import RESIDUAL_TOL, lambda_sequence
 
     rows = [
         (s.n, f"{s.lambda_n:.15f}", f"{s.eta_n:.15f}", f"{s.residual:.3e}")
-        for s in lambda_sequence(args.steps, args.tol)
+        for s in lambda_sequence(args.steps)
     ]
-    options = {"steps": args.steps, "tol": args.tol}
+    # the header's tol is the bound every residual was checked against
+    options = {"steps": args.steps, "tol": RESIDUAL_TOL}
     return _csv(args.command, options, ["n", "lambda_n", "eta_n", "residual"], rows), 0
 
 
@@ -271,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("lambda", help="the decreasing growth-bound sequence")
     p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=cmd_lambda)
 
     p = add_parser("free-monoid", help="free-monoid witness checks")

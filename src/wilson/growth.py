@@ -50,7 +50,8 @@ REFINE_LEN = 3  # the free-monoid check's {a, b, c, d}-words reach this length
 
 
 class Deduper:
-    """Canonical-element index: signature-first with exact-equality fallback.
+    """Canonical-element index keyed by the hash of ``node_key``, confirmed by
+    exact equality.
 
     The signature depth starts at ``START_SIG_DEPTH`` and is raised whenever
     an exact test distinguishes two members of equal node key; the exact
