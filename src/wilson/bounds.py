@@ -29,6 +29,27 @@ CURVE_POINTS = 99
 LOG_30 = math.log(30.0)
 
 
+def _least_lambda() -> float:
+    """The least float lambda whose crossing ``solve_crossing`` can bracket,
+    that is, whose h(ETA_LO), computed with the same float operations, is
+    negative.  For a smaller lambda, log lambda is at most about
+    ETA_LO * (log 30 - log ETA_LO + 1) = 3.2e-11 and the crossing lies below
+    ETA_LO."""
+    h_lo = ETA_LO * LOG_30 - ETA_LO * math.log(ETA_LO) - (1.0 - ETA_LO) * math.log(1.0 - ETA_LO)
+    lo, hi = 1.0, 2.0  # h(ETA_LO) >= 0 at lo, < 0 at hi; it falls as lambda grows
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if h_lo - (1.0 - ETA_LO) * math.log(mid) < 0.0:
+            hi = mid
+        else:
+            lo = mid
+
+
+LAMBDA_MIN = _least_lambda()
+
+
 # One step of the recursion: the crossing for lambda_n.
 EtaStep = namedtuple("EtaStep", "n lambda_n eta_n lambda_next residual")
 
@@ -51,9 +72,9 @@ def g_eta(eta: float) -> float:
 def solve_crossing(lam: float, n: int = 0) -> EtaStep:
     """The unique eta in (0, 1) with lam^(1-eta) = g(eta), by bisection."""
     # written so that a NaN fails the test
-    if not 1.0 + RESIDUAL_TOL < lam <= LAMBDA_CAP:
+    if not LAMBDA_MIN <= lam <= LAMBDA_CAP:
         raise ValueError(
-            f"lambda must lie in (1 + {RESIDUAL_TOL:g}, {LAMBDA_CAP:g}], got {lam}"
+            f"lambda must lie in [{LAMBDA_MIN!r}, {LAMBDA_CAP:g}], got {lam}"
         )
     log_lam = math.log(lam)
     log = math.log
@@ -68,7 +89,7 @@ def solve_crossing(lam: float, n: int = 0) -> EtaStep:
 
     lo, hi = ETA_LO, ETA_HI
     if h(lo) >= 0.0 or h(hi) <= 0.0:
-        raise RuntimeError("bisection bracket invalid")  # guarded by the cap
+        raise RuntimeError("bisection bracket invalid")  # guarded by LAMBDA_MIN and the cap
     for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -99,11 +120,12 @@ def lambda_sequence(steps: int) -> list[EtaStep]:
 
 
 def eval_growth_bound(lam: float) -> float:
-    """inf over eta of max(lam^(1-eta), g(eta)): 1 for lam near 1, otherwise
-    the crossing value (one branch decreases, the other increases)."""
+    """inf over eta of max(lam^(1-eta), g(eta)): the crossing value (one
+    branch decreases, the other increases), or 1 for lam below LAMBDA_MIN,
+    which is then within lam - 1 < 3.3e-11 of it."""
     if not lam >= 1.0:
         raise ValueError(f"lambda must be >= 1, got {lam}")
-    if lam <= 1.0 + RESIDUAL_TOL:
+    if lam < LAMBDA_MIN:
         return 1.0
     return solve_crossing(lam).lambda_next
 

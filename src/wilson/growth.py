@@ -28,12 +28,14 @@ reference counting.  So it leaves the cyclic collector alone, and its
 collections never free anything; a library caller that wants the CLI's speed
 disables the collector around the call itself.
 
-The :class:`Deduper` index maps the hash of each member's node key
-(``wreath.node_key``: its root and seven child signatures) to the member's
-index, and keeps a member's full key only when another member already owns its
-hash.  A hash is never taken for equality: a hit is confirmed by the member's
-recomputed key, then by ``equals``.  So the index holds one ``int`` per
-member, and the keys themselves are neither stored, memoized nor interned.
+The :class:`Deduper` index chains its members by the hash of their node
+keys (``wreath.node_key``: root and seven child signatures) in three flat
+``array``s: each member's hash, the next member in its bucket, and the first
+member of each bucket.  A hash is never taken for equality: a hash hit is
+settled by ``equals``, and only when that says no is the member's key
+recomputed, to tell a depth rise from two keys that share a hash.  So the
+index holds no Python object per member, and the keys themselves are
+neither stored, memoized nor interned.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .wreath import Element, equals, is_identity, node_key
 
 START_SIG_DEPTH = 3
 REFINE_LEN = 3  # the free-monoid check's {a, b, c, d}-words reach this length
+FIRST_BUCKETS = 1024  # the dedup index's first bucket count, a power of two
 
 
 class Deduper:
@@ -59,58 +62,84 @@ class Deduper:
     ``add`` follows a miss of ``find``, so no two members share a key, and a
     deeper key still tells them apart, since it determines the shallower one.
 
-    ``_index`` maps ``hash(key)`` to the member of that key at the current
-    depth; a member whose hash another member already owns is kept in
-    ``_clash`` under its full key.  ``find`` confirms a hash hit by the
-    member's recomputed key, reads ``_clash`` when that differs, and lets
-    ``equals`` decide.  In the ball search that member is a neighbour of the
-    member the candidate extends, whose node form the search still holds;
-    any other has it built again by ``decompose``.  ``find`` leaves the key
-    of its last miss for ``add``, so a key is computed once per candidate.
+    ``_hashes[i]`` is the hash of member i's key at the current depth,
+    ``_next[i]`` the next member in i's bucket or -1, and ``_heads[b]`` the
+    first member of bucket b, which chains the members whose hash is b
+    modulo ``len(_heads)``.  The table starts at ``FIRST_BUCKETS`` buckets
+    and doubles whenever the members fill it; the members are then
+    re-chained from ``_hashes``, and no key is recomputed.
+
+    ``find`` walks one chain.  A member of the candidate's hash is asked
+    ``equals`` first; when that says no, an equal recomputed key raises the
+    depth, and a different one is another key of the same hash, so the walk
+    goes on.  In the ball search a member that ``equals`` reads is a
+    neighbour of the member the candidate extends, whose node form the
+    search still holds; any other has it built again by ``decompose``.
+    ``find`` leaves the hash of its last miss for ``add``, so a key is
+    computed once per candidate.
     """
 
     def __init__(self):
         self.depth = START_SIG_DEPTH
         self.elements: list[Element] = []
-        self._index: dict[int, int] = {}
-        self._clash: dict[tuple, int] = {}
-        self._missed: tuple | None = None  # (element, key) of the last miss
+        self._hashes = array("q")
+        self._next = array("i")
+        self._heads = array("i", [-1]) * FIRST_BUCKETS
+        self._missed: tuple | None = None  # (element, hash) of the last miss
 
     def find(self, e: Element) -> int | None:
         while True:
             key = node_key(e, self.depth)
-            i = self._index.get(hash(key))
-            if i is not None and node_key(self.elements[i], self.depth) != key:
-                i = self._clash.get(key)
-            if i is None:
-                self._missed = (e, key)
+            h = hash(key)
+            hashes, nxt, elements = self._hashes, self._next, self.elements
+            i = self._heads[h & (len(self._heads) - 1)]
+            while i >= 0:
+                if hashes[i] == h:
+                    if equals(e, elements[i]):
+                        return i
+                    if node_key(elements[i], self.depth) == key:
+                        break
+                i = nxt[i]
+            else:
+                self._missed = (e, h)
                 return None
-            if equals(e, self.elements[i]):
-                return i
             # key-equal but exactly distinct: refine and retry
             self.depth += 1
             self._rebuild()
 
     def add(self, e: Element) -> int:
-        """Append e, which a ``find`` has just missed, and index it under its
-        node key: the key that miss left, or computed afresh for any other
-        element."""
+        """Append e, which a ``find`` has just missed, and chain it under the
+        hash of its node key: the hash that miss left, or computed afresh for
+        any other element."""
         missed, self._missed = self._missed, None
-        key = missed[1] if missed is not None and missed[0] is e else node_key(e, self.depth)
+        h = missed[1] if missed is not None and missed[0] is e else hash(node_key(e, self.depth))
         idx = len(self.elements)
         self.elements.append(e)
-        self._insert(key, idx)
+        self._hashes.append(h)
+        heads = self._heads
+        if len(self.elements) < len(heads):
+            bucket = h & (len(heads) - 1)
+            self._next.append(heads[bucket])
+            heads[bucket] = idx
+        else:  # the members fill the table
+            self._next.append(-1)
+            self._rechain(2 * len(heads))
         return idx
 
-    def _insert(self, key: tuple, idx: int) -> None:
-        if self._index.setdefault(hash(key), idx) != idx:
-            self._clash[key] = idx
+    def _rechain(self, buckets: int) -> None:
+        heads, nxt, mask = array("i", [-1]) * buckets, self._next, buckets - 1
+        for i, h in enumerate(self._hashes):
+            bucket = h & mask
+            nxt[i] = heads[bucket]
+            heads[bucket] = i
+        self._heads = heads
 
     def _rebuild(self) -> None:
         self._missed = None
-        self._index, self._clash = {}, {}
+        hashes, depth = self._hashes, self.depth
         for i, m in enumerate(self.elements):
-            self._insert(node_key(m, self.depth), i)
+            hashes[i] = hash(node_key(m, depth))
+        self._rechain(len(self._heads))
 
 
 def _effective_symbols(genset: GeneratingSet):

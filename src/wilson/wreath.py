@@ -301,8 +301,7 @@ def node_key(e: Element, depth: int) -> tuple:
     """The key of ``e`` at ``depth`` >= 1: ``(e.root, *child signatures at
     depth - 1)``.  Two elements have equal keys iff they have equal
     signatures at ``depth``.  The key itself is neither memoized nor
-    interned: the ball search's index keeps only its hash, and the full key
-    only when another member's key has the same hash.
+    interned: the ball search's index keeps only its hash.
 
     The child signatures are read from the memo of the depth below in one
     C-level ``map``; only when one is missing there are the seven read

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from wilson.bounds import (
     ETA_HI,
     ETA_LO,
+    LAMBDA_MIN,
     MAX_BISECTIONS,
     RESIDUAL_TOL,
     EtaStep,
@@ -48,6 +49,22 @@ def test_solve_crossing_rejects_bad_lambda():
         solve_crossing(1.0)
     with pytest.raises(ValueError):
         solve_crossing(40.0)
+
+
+def test_lambda_below_the_least_bracketable_is_rejected():
+    """Below LAMBDA_MIN (about 1 + 3.2e-11) the crossing lies under ETA_LO:
+    ``solve_crossing`` rejects lambda as a usage error naming LAMBDA_MIN, and
+    ``eval_growth_bound`` returns 1."""
+    assert 1.0 + 3.1e-11 < LAMBDA_MIN < 1.0 + 3.3e-11
+    for lam in (1.0 + 2e-11, math.nextafter(LAMBDA_MIN, 1.0)):
+        with pytest.raises(ValueError, match=rf"lambda must lie in \[{LAMBDA_MIN!r}, 31\]"):
+            solve_crossing(lam)
+        assert eval_growth_bound(lam) == 1.0
+    for lam in (LAMBDA_MIN, 1.0 + 4e-11):
+        step = solve_crossing(lam)
+        assert ETA_LO < step.eta_n < 2 * ETA_LO and 1.0 < step.lambda_next <= lam
+        assert step.residual <= RESIDUAL_TOL
+        assert eval_growth_bound(lam) == step.lambda_next
 
 
 def test_nan_lambda_is_rejected():

@@ -56,24 +56,36 @@ def test_deduper_modes_agree():
     assert len(dedup.elements) == 7
 
 
+def chains(dedup):
+    """The index's bucket chains, read from ``_heads`` and ``_next``."""
+    out = {}
+    for bucket, i in enumerate(dedup._heads):
+        while i >= 0:
+            out.setdefault(bucket, []).append(i)
+            i = dedup._next[i]
+    return out
+
+
 def test_deduper_refines_a_shared_signature():
-    """A miss on a member's signature raises the depth and re-indexes the
-    members, one index per node key's hash.  bar(x) cut below depth 3 differs
-    from bar(x) first on strings of length 5, so not at signature depth 3."""
+    """A miss on a member's signature raises the depth and rewrites each
+    member's hash at the new depth.  bar(x) cut below depth 3 differs from
+    bar(x) first on strings of length 5, so not at signature depth 3."""
     t, xbar = truncated_bar(X, 3), make_abar(X)
     assert signature(t, 3) == signature(xbar, 3) and not equals(t, xbar)
     dedup = Deduper()
     dedup.add(xbar)
-    assert dedup._index == {hash(node_key(xbar, 3)): 0} and dedup._clash == {}
+    h = hash(node_key(xbar, 3))
+    assert list(dedup._hashes) == [h] and chains(dedup) == {h % growth.FIRST_BUCKETS: [0]}
     assert dedup.find(t) is None and dedup.depth > 3
-    assert dedup._index == {hash(node_key(xbar, dedup.depth)): 0} and dedup._clash == {}
+    h = hash(node_key(xbar, dedup.depth))
+    assert list(dedup._hashes) == [h] and chains(dedup) == {h % growth.FIRST_BUCKETS: [0]}
     assert dedup.add(t) == 1 and dedup.find(t) == 1 and dedup.find(xbar) == 0
 
 
 def test_deduper_clash_path_is_exact(monkeypatch):
-    """With every key hashed alike, every member but the first is indexed by
-    its full key in ``_clash``, and every hash hit is a different member's:
-    the searches, the free-monoid check and the depth rise come out the same."""
+    """With every key hashed alike, every member shares one chain, so each
+    lookup meets every member's hash: the searches, the free-monoid check and
+    the depth rise come out the same."""
     gensets = (make_tilde(), make_S(1), make_S(2))
     unpatched = [ball_sizes(genset, 10) for genset in gensets]
     monkeypatch.setattr(growth, "hash", lambda key: 0, raising=False)
@@ -86,7 +98,59 @@ def test_deduper_clash_path_is_exact(monkeypatch):
     dedup.add(xbar)
     assert dedup.find(t) is None and dedup.depth > 3
     assert dedup.add(t) == 1 and dedup.find(t) == 1 and dedup.find(xbar) == 0
-    assert dedup._index == {0: 0} and dedup._clash == {node_key(t, dedup.depth): 1}
+    assert node_key(t, dedup.depth) != node_key(xbar, dedup.depth)
+    assert list(dedup._hashes) == [0, 0] and chains(dedup) == {0: [1, 0]}
+
+
+def test_deduper_long_chains_across_doublings(monkeypatch):
+    """With sixteen hash values and a first table of sixteen buckets, the
+    chains are long and the table doubles several times: the searches and
+    the free-monoid check come out the same as with the full hash."""
+    gensets = (make_tilde(), make_S(1))
+    unpatched = [enumerate_ball(genset, 8) for genset in gensets]
+    rechains = []
+    rechain = Deduper._rechain
+
+    def counted_rechain(self, buckets):
+        rechains.append(buckets)
+        rechain(self, buckets)
+
+    monkeypatch.setattr(growth, "hash", lambda key: hash(key) & 15, raising=False)
+    monkeypatch.setattr(growth, "FIRST_BUCKETS", 16)
+    monkeypatch.setattr(Deduper, "_rechain", counted_rechain)
+    for genset, ball in zip(gensets, unpatched):
+        patched = enumerate_ball(genset, 8)
+        assert patched.sizes == ball.sizes and patched.edges == ball.edges
+    # 436 and 763 members: five doublings, then six
+    assert rechains == [32, 64, 128, 256, 512] + [32, 64, 128, 256, 512, 1024]
+    assert free_monoid_check(6)["all_ok"]
+
+
+def test_deduper_arrays_after_a_search(monkeypatch):
+    """Each member's hash is its key's at the final depth, each member sits
+    once in the chain of its bucket, and the table is at most twice the
+    members (or the first size)."""
+    made = []
+    init = Deduper.__init__
+
+    def kept_init(self):
+        init(self)
+        made.append(self)
+
+    monkeypatch.setattr(Deduper, "__init__", kept_init)
+    ball = enumerate_ball(make_tilde(), 12)
+    (dedup,) = made
+    n = ball.size
+    assert dedup.elements is ball.members
+    assert len(dedup._hashes) == len(dedup._next) == n
+    assert len(dedup._heads) <= max(1024, 2 * n)
+    for i, m in enumerate(ball.members):
+        assert dedup._hashes[i] == hash(node_key(m, dedup.depth))
+    mask = len(dedup._heads) - 1
+    chained = chains(dedup)
+    assert sorted(i for chain in chained.values() for i in chain) == list(range(n))
+    assert all(dedup._hashes[i] & mask == bucket
+               for bucket, chain in chained.items() for i in chain)
 
 
 def test_ball_search_keys_each_candidate_once(monkeypatch):
