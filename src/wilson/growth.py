@@ -12,16 +12,20 @@ differ when a parity homomorphism exists) is
 states on those edges.  All enumeration orders are (length, lexicographic),
 so geodesics and exports are reproducible.
 
-A ball search drops the node forms (``wreath.decompose``'s cache) that it
-will not read again, and keeps every interned element.  Once the rows of
-sphere r are complete, later rows extend members of depth >= r + 1, and a
-candidate is read with its prefix, the member it extends; a hit matches a
-member within distance 1 of the candidate, so of depth >= r.  So the members
-of depth r - 1 are not read again as members, and their node forms are
-released.  A candidate that a hit matches to another member is no member,
-so no later row extends it, and its node form is released too.  The rule
-costs no exactness: an element read again after all, as some element's
-section, gets its node form back from ``decompose``.
+A ball search builds an element only for a new member.  It folds the node
+form of each candidate ``m * s`` from the member m's (``wreath.fold_letter``,
+every letter of the symbol) into one reusable probe that holds a root and
+sections and nothing else, and asks the index about the probe; only on a
+miss does it form the word ``m * s``, give it the probe's node form and add
+it.  A hit builds and interns nothing.  The search drops the node forms
+(``wreath.decompose``'s cache) of members that it will not read again, and
+keeps every interned element.  Once the rows of sphere r are complete, later
+rows extend members of depth >= r + 1, each read once per row, and a hit
+matches a member within distance 1 of the candidate, so of depth >= r.  So
+the members of depth r - 1 are not read again as members, and their node
+forms are released.  The rule costs no exactness: an element read again
+after all, as some element's section, gets its node form back from
+``decompose``.
 
 A ball search makes no cyclic garbage: whatever it drops is freed by
 reference counting.  So it leaves the cyclic collector alone, and its
@@ -45,7 +49,7 @@ from array import array
 from collections.abc import Iterator
 
 from .catalog import GeneratingSet, make_S, make_free_quadruple, make_tilde
-from .wreath import Element, equals, is_identity, node_key
+from .wreath import Element, decompose, equals, fold_letter, is_identity, node_key
 
 START_SIG_DEPTH = 3
 REFINE_LEN = 3  # the free-monoid check's {a, b, c, d}-words reach this length
@@ -75,8 +79,9 @@ class Deduper:
     goes on.  In the ball search a member that ``equals`` reads is a
     neighbour of the member the candidate extends, whose node form the
     search still holds; any other has it built again by ``decompose``.
-    ``find`` leaves the hash of its last miss for ``add``, so a key is
-    computed once per candidate.
+    ``find`` leaves the node form and hash of its last miss for ``add``, so
+    a key is computed once per candidate, though the ball search asks about
+    a probe and adds the element it builds after the miss.
     """
 
     def __init__(self):
@@ -85,9 +90,17 @@ class Deduper:
         self._hashes = array("q")
         self._next = array("i")
         self._heads = array("i", [-1]) * FIRST_BUCKETS
-        self._missed: tuple | None = None  # (element, hash) of the last miss
+        self._missed: tuple | None = None  # (root, sections, hash) of the last miss
 
-    def find(self, e: Element) -> int | None:
+    def find(self, e) -> int | None:
+        """The index of the member equal to ``e``, or None.
+
+        ``e`` is the one argument, and stays so: the benchmark's tracer
+        (``bench/tracer.py``) wraps this method as ``find(self, e)``.  It is
+        an element, whose node form ``node_key`` builds when its ``sections``
+        is None, or any object whose ``root`` and ``sections`` hold a node
+        form, as the ball search's probe does; only those two are read.
+        """
         while True:
             key = node_key(e, self.depth)
             h = hash(key)
@@ -101,18 +114,24 @@ class Deduper:
                         break
                 i = nxt[i]
             else:
-                self._missed = (e, h)
+                self._missed = (e.root, e.sections, h)
                 return None
             # key-equal but exactly distinct: refine and retry
             self.depth += 1
             self._rebuild()
 
     def add(self, e: Element) -> int:
-        """Append e, which a ``find`` has just missed, and chain it under the
-        hash of its node key: the hash that miss left, or computed afresh for
-        any other element."""
+        """Append the element e, which a ``find`` has just missed, and chain
+        it under the hash of its node key.  That miss is recognised by its
+        node form, the same root and the same sections tuple, not by the
+        object, since the ball search asks ``find`` about a probe and adds
+        the element it then builds with the probe's node form; its hash is
+        reused.  Any other element's hash is computed afresh."""
         missed, self._missed = self._missed, None
-        h = missed[1] if missed is not None and missed[0] is e else hash(node_key(e, self.depth))
+        if missed is not None and missed[1] is e.sections and missed[0] is e.root:
+            h = missed[2]
+        else:
+            h = hash(node_key(e, self.depth))
         idx = len(self.elements)
         self.elements.append(e)
         self._hashes.append(h)
@@ -140,6 +159,15 @@ class Deduper:
         for i, m in enumerate(self.elements):
             hashes[i] = hash(node_key(m, depth))
         self._rechain(len(self._heads))
+
+
+class _Probe:
+    """A candidate's node form, before any element is built for it."""
+
+    __slots__ = ("root", "sections")
+
+    def __repr__(self):
+        return f"<candidate with root {self.root.cycles()}>"
 
 
 def _effective_symbols(genset: GeneratingSet):
@@ -204,36 +232,48 @@ def balls(genset: GeneratingSet) -> Iterator[Ball]:
     one ``Deduper.add`` (the ball's members are the deduper's list) and one
     blank row of ``edges``.  At radius r the row of every member of depth < r
     is complete; a member of depth r knows only its backtrack entry (its BFS
-    parent), set when it is found.  When radius r is yielded, the members of
-    depth r - 2 hold no node form, nor do the candidates of the rows just
-    completed that a hit matched to another member (the module docstring
-    says why the search does not read them again).
+    parent), set when it is found.
+
+    Each row reads its member's node form once, and folds each symbol's
+    letters onto it into ``probe``, which ``Deduper.find`` takes as its one
+    argument; only a miss forms the element ``m * s``, with the probe's node
+    form, and adds it.  When radius r is yielded, the members of depth r - 2
+    hold no node form (the module docstring says why the search does not
+    read them again).
     """
     syms, inverse_of = _effective_symbols(genset)
     k = len(syms)
+    symbols = [(s, el, el.letters) for s, (_, el) in enumerate(syms)]
     blank = array("i", [-1]) * k
     dedup = Deduper()
     dedup.add(Element())
     ball = Ball(genset, dedup.elements, [1], array("i", blank),
                 tuple(name for name, _ in syms))
     members, edges = ball.members, ball.edges
+    probe = _Probe()
     done = start = 0  # members[done:start] have depth r - 1, members[start:] depth r
     while True:
         yield ball
         end = len(members)
         for mid in range(start, end):
-            row = mid * k
-            for s, (_, el) in enumerate(syms):
+            m = members[mid]
+            if m.sections is None:
+                decompose(m)
+            row, root, sections = mid * k, m.root, m.sections
+            for s, el, letters in symbols:
                 if edges[row + s] >= 0:
                     continue  # the backtrack entry, never a new geodesic
-                candidate = members[mid] * el
-                target = dedup.find(candidate)
+                r, secs = root, sections
+                for letter in letters:
+                    r, secs = fold_letter(r, secs, letter)
+                probe.root, probe.sections = r, secs
+                target = dedup.find(probe)
                 if target is None:
-                    target = dedup.add(candidate)
+                    new = m * el
+                    new.root, new.sections = r, secs
+                    target = dedup.add(new)
                     edges.extend(blank)
                     edges[target * k + inverse_of[s]] = mid
-                elif members[target] is not candidate:
-                    candidate.sections = None  # a hit that is not a member
                 edges[row + s] = target
         for mid in range(done, start):  # depth r - 1: never read again
             members[mid].sections = None

@@ -17,11 +17,14 @@ factor, so it is normalized only at the seam where they meet.
 ``decompose`` fills in an element's node form
 ``<g_1,...,g_7> a`` (root permutation plus seven suffix sections) in slots of
 the element itself, building it from the node form of the element's prefix
-by the product rule.  A node form is a cache: a caller may drop it by setting
+by the product rule, one letter at a time through ``fold_letter``; the ball
+search calls that fold too, to get a candidate's node form before it builds
+any element.  A node form is a cache: a caller may drop it by setting
 ``sections`` to None, and ``decompose`` builds it again when it is next
 read.  An atom letter updates only the sections its atom has
 nontrivial (one or two of seven for the catalog's atoms, which are bounded
-automata), read from the atom's ``nontrivial`` table.  ``node_key`` reads an
+automata), read from the atom's ``nontrivial`` table, and the atom keeps
+the root it leads to after each root it has met.  ``node_key`` reads an
 element's seven child signatures from the memo of the depth below in one
 C-level ``map``, and through ``signature`` only when one is missing there.
 ``signature`` is that key memoized and interned; it serves the sections,
@@ -59,15 +62,17 @@ class Atom:
     is an involution, by checking ``atom * atom == 1`` exactly; an involution
     becomes its own inverse.  Otherwise ``inverse`` builds the inverse atom,
     named ``name^-1``, and links the two, so a word cancels an atom against
-    its inverse.
+    its inverse.  ``_after`` maps each root r that ``fold_letter`` has met
+    before this atom to ``r * root``: at most 168 entries, filled lazily.
     """
 
-    __slots__ = ("name", "root", "nontrivial", "_inverse")
+    __slots__ = ("name", "root", "nontrivial", "_inverse", "_after")
 
     def __init__(self, name: str, root: Perm, sections=None):
         self.name = name
         self.root = root
         self._inverse: Atom | None = None
+        self._after: dict[Perm, Perm] = {}
         if sections is not None:  # until set, ``decompose`` fails on the atom
             self.sections = sections
 
@@ -204,40 +209,54 @@ def atom_element(a: Atom) -> Element:
     return Element((a,))
 
 
+def fold_letter(root: Perm, sections: tuple, letter) -> tuple[Perm, tuple]:
+    """The node form of ``g * letter`` from the node form ``(root, sections)``
+    of g, by the product rule ``(gh)_p = g_p * h_{p.root(g)}``.
+
+    A permutation letter changes only the root.  An atom letter visits only
+    its nontrivial sections (one or two of seven for the catalog's atoms):
+    the section at q reaches the point ``q.root^-1``, found through the
+    inverse kept on the permutation, and is multiplied onto the section
+    there.  Every other section is shared with ``sections``.  The new root
+    is read from the atom's ``_after``, so a fold multiplies no
+    permutations once the atom has met the root.
+    """
+    if letter.__class__ is Perm:
+        return root * letter, sections
+    after = letter._after.get(root)
+    if after is None:
+        after = letter._after[root] = root * letter.root
+    back = root.inverse().images
+    new = list(sections)
+    for q, s in letter.nontrivial:
+        p = back[q] - 1
+        prev = sections[p]
+        new[p] = s if prev is _E else prev * s
+    return after, tuple(new)
+
+
 def decompose(e: Element) -> Element:
     """Fill in the node form of ``e`` and return ``e``.  The node form is
-    ``e.root`` and ``e.sections``, folded letter by letter with the product
-    rule ``(gh)_p = g_p * h_{p.root(g)}``.
+    ``e.root`` and ``e.sections``, folded letter by letter by
+    ``fold_letter``.
 
-    The fold starts from the node form of ``e.prefix`` when that has one (a
-    BFS candidate ``m * s`` has the member m as its prefix) and takes in the
-    last letter, else it starts from the trivial node form and takes in every
-    letter.  A permutation letter changes only the root.  An atom letter
-    visits only its nontrivial sections (``nontrivial`` on the atom, one or
-    two of seven for the catalog's atoms): the section at q reaches the point
-    ``q.root^-1`` of the root folded so far, found through the inverse kept
-    on the permutation, and is multiplied onto the section there.  Every
-    other section is shared with the node form the fold started from.
+    The fold starts from the node form of ``e.prefix`` when that has one and
+    takes in the last letter, else it starts from the trivial node form and
+    takes in every letter.  The ball search folds a candidate ``m * s`` from
+    the member m's node form itself, before any element exists, and gives
+    the node form to the element it builds for a new member; so ``decompose``
+    builds the node forms of the other elements: sections, members whose
+    node form was released, and callers' words.
     """
     if e.sections is not None:
         return e
     prefix = e.prefix
     if prefix is not None and prefix.sections is not None:
-        root, secs, rest = prefix.root, prefix.sections, (e.last,)
+        root, secs = fold_letter(prefix.root, prefix.sections, e.last)
     else:
-        root, secs, rest = _ID, _TRIVIAL, e.letters
-    for letter in rest:
-        if letter.__class__ is Perm:
-            root = root * letter
-            continue
-        new = list(secs)
-        back = root.inverse().images  # section q lands on point q.root^-1
-        for q, s in letter.nontrivial:
-            p = back[q] - 1
-            prev = secs[p]
-            new[p] = s if prev is _E else prev * s
-        secs = tuple(new)
-        root = root * letter.root
+        root, secs = _ID, _TRIVIAL
+        for letter in e.letters:
+            root, secs = fold_letter(root, secs, letter)
     e.root, e.sections = root, secs
     return e
 
@@ -305,9 +324,12 @@ def node_key(e: Element, depth: int) -> tuple:
 
     The child signatures are read from the memo of the depth below in one
     C-level ``map``; only when one is missing there are the seven read
-    through ``signature``, which computes the missing ones.  A BFS candidate
-    shares all but one or two sections with the member it extends, and the
-    sections of a ball search are few, so the memo nearly always has them.
+    through ``signature``, which computes the missing ones.  ``e`` needs
+    only ``root`` and ``sections`` once they are set: the ball search asks
+    the key of a candidate ``m * s`` as the node form it folded from the
+    member m's, before any element exists.  That node form shares all but
+    one or two sections with m's, and the sections of a ball search are
+    few, so the memo nearly always has them.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")

@@ -1,11 +1,18 @@
 import gc
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
+import wilson
 from wilson import growth
-from wilson.catalog import GeneratingSet, make_S, make_tilde, swapper_pairs
+from wilson.catalog import (GeneratingSet, make_free_quadruple, make_S, make_tilde,
+                            swapper_pairs)
 from wilson.fano import X, Y, Z
 from wilson.growth import (
     Deduper,
@@ -177,6 +184,72 @@ def test_ball_search_keys_each_candidate_once(monkeypatch):
     assert ball.size == 1309 and calls == [Element()]
 
 
+def test_deduper_add_recognises_the_miss_by_its_whole_node_form():
+    """A permutation letter changes only the root, so ``a * y`` shares the
+    sections tuple of ``a``: ``add`` must not take it for the miss of ``a``
+    and chain it under a's hash."""
+    a = decompose(make_S(1).elements()[0])
+    g = decompose(a * perm_element(Y))
+    assert g.sections is a.sections and g.root is not a.root
+    dedup = Deduper()
+    assert dedup.find(a) is None
+    assert dedup.add(g) == 0
+    assert dedup.find(g) == 0 and dedup.find(a) is None
+
+
+def test_ball_search_folds_every_letter_of_a_symbol():
+    """The free quadruple's a, b, c, d are two-letter words (``bar(u) u``
+    and so on), and their inverses too, so each candidate folds two letters.
+    The sizes and the edge array's hash were pinned from a search that
+    formed every candidate as a word and decomposed it; folding only each
+    symbol's last letter gives sizes [1, 5, 19, 57, 150]."""
+    q = make_free_quadruple()
+    genset = GeneratingSet("abcd", tuple((n, getattr(q, n)) for n in "abcd"))
+    assert all(len(el.letters) == 2 for _, el in genset.symbols)
+    ball = enumerate_ball(genset, 4)
+    assert ball.sizes == [1, 9, 47, 151, 368]
+    edges = ",".join(map(str, ball.edges)).encode()
+    assert hashlib.sha256(edges).hexdigest() == (
+        "c3f6d6bb8e6bb9fa6165d64c00af3ca932f5dd8ba669584ca6271a4d1b2c1340")
+
+
+INTERNED = """
+from wilson import wreath
+from wilson.catalog import make_tilde
+from wilson.growth import enumerate_ball
+genset = make_tilde()
+before = wreath.engine_stats()["elements"]
+ball = enumerate_ball(genset, 10)
+print(ball.size, wreath.engine_stats()["elements"] - before)
+"""
+
+
+def test_ball_search_interns_only_new_members():
+    """In a fresh interpreter, a tilde search interns one element per new
+    member and nothing else: the identity and the three generators are
+    interned already, and a candidate that a hit matches is never built."""
+    src = str(Path(wilson.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", INTERNED],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    size, interned = map(int, proc.stdout.split())
+    assert size == 1309 and interned == size - 4
+
+
+@pytest.mark.parametrize("genset", [make_tilde(), make_S(1), make_S(2), make_S(3)],
+                         ids=["tilde", "S:1", "S:2", "S:3"])
+def test_ball_search_sets_the_reference_node_forms(genset):
+    """The node form the search folds for each new member, read as each
+    radius is yielded (before any is released), is the whole-word walk's."""
+    for ball in balls(genset):
+        r, members = ball.radius, ball.members
+        for m in members[ball.sizes[r - 1] if r else 0:]:
+            assert m.sections is not None
+            assert letters_of(m) == letters_of(reference_decompose(m))
+        if r == 10:
+            break
+
+
 def test_ball_radius_zero_and_one():
     s1 = make_S(1)
     ball = enumerate_ball(s1, 1)
@@ -306,15 +379,18 @@ def test_geodesics_are_least_words(genset):
 @pytest.mark.parametrize("genset", [make_tilde(), make_S(1), make_S(2)],
                          ids=["tilde", "S:1", "S:2"])
 def test_ball_search_releases_node_forms_it_reads_no_more(genset):
-    """When the search yields radius r, the members of depth r - 2 and the
-    candidates of the rows just completed that are not members hold no node
-    form.  (A released member read later as some element's section gets its
+    """From empty caches: when the search yields radius r, the members of
+    depth r - 2 hold no node form, and neither do the candidates of the rows
+    just completed that a hit matched to another member, because the search
+    folds a candidate's node form into its probe and builds no element for a
+    hit.  (A released member read later as some element's section gets its
     node form back, so the check is made as each radius is reached.)  Each
     released node form rebuilds to the reference one, and the search from
     empty caches gives the same ball."""
     radius = 9
     symbols = search_symbols(genset)
     k = len(symbols)
+    clear_caches()
     for ball in balls(genset):
         r, members, starts = ball.radius, ball.members, [0, *ball.sizes]
         if r >= 2:
