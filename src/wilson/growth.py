@@ -17,15 +17,15 @@ form of each candidate ``m * s`` from the member m's (``wreath.fold_letter``,
 every letter of the symbol) into one reusable probe that holds a root and
 sections and nothing else, and asks the index about the probe; only on a
 miss does it form the word ``m * s``, give it the probe's node form and add
-it.  A hit builds and interns nothing.  The search drops the node forms
-(``wreath.decompose``'s cache) of members that it will not read again, and
-keeps every interned element.  Once the rows of sphere r are complete, later
-rows extend members of depth >= r + 1, each read once per row, and a hit
-matches a member within distance 1 of the candidate, so of depth >= r.  So
-the members of depth r - 1 are not read again as members, and their node
-forms are released.  The rule costs no exactness: an element read again
-after all, as some element's section, gets its node form back from
-``decompose``.
+it.  A hit builds and interns nothing, and fills in the edge from its other
+end too: ``m * s = t`` gives t's entry for ``s^-1``, so each edge is looked up
+once, and a row skips the entries that are known already.  So once member
+m's row is complete, every edge into m is known from both ends, and no later
+lookup returns m; the search drops m's node form (``wreath.decompose``'s
+cache) right after its row, and keeps every interned element.  The rule
+costs no exactness: an element read again after all, as some element's
+section or by a lookup that only shares its hash, gets its node form back
+from ``decompose``.
 
 A ball search makes no cyclic garbage: whatever it drops is freed by
 reference counting.  So it leaves the cyclic collector alone, and its
@@ -76,9 +76,11 @@ class Deduper:
     ``find`` walks one chain.  A member of the candidate's hash is asked
     ``equals`` first; when that says no, an equal recomputed key raises the
     depth, and a different one is another key of the same hash, so the walk
-    goes on.  In the ball search a member that ``equals`` reads is a
-    neighbour of the member the candidate extends, whose node form the
-    search still holds; any other has it built again by ``decompose``.
+    goes on.  In the ball search a member that ``find`` returns has a row
+    still to be expanded, so it holds its node form; a member that only
+    shares the candidate's hash may have released it, and has it built again
+    by ``decompose``.  ``_rebuild`` builds the node form of every member to
+    key it, and drops again those the search had released.
     ``find`` leaves the node form and hash of its last miss for ``add``, so
     a key is computed once per candidate, though the ball search asks about
     a probe and adds the element it builds after the miss.
@@ -154,10 +156,16 @@ class Deduper:
         self._heads = heads
 
     def _rebuild(self) -> None:
+        """Rehash every member at the new depth.  The members that held no
+        node form drop the one their key built, but only after every key is
+        computed, so that each member's node form folds from its prefix's."""
         self._missed = None
         hashes, depth = self._hashes, self.depth
+        released = [m for m in self.elements if m.sections is None]
         for i, m in enumerate(self.elements):
             hashes[i] = hash(node_key(m, depth))
+        for m in released:
+            m.sections = None
         self._rechain(len(self._heads))
 
 
@@ -212,8 +220,10 @@ class Ball:
 
         Scanning the rows in member order, the first entry ``(m, s)`` that
         reaches member t is the one the search found t by, so t's word is
-        ``words[m] + (s,)``: rows of depth < radius are complete, and a row of
-        the outer sphere holds only its backtrack entry, to an earlier member.
+        ``words[m] + (s,)``: rows of depth < radius are complete, and the
+        known entries of a row of the outer sphere (its backtrack entry and
+        the edges that hits filled in) lead to members of depth radius - 1,
+        whose words the complete rows before it gave already.
         """
         k = len(self.symbol_names)
         words: list = [()] + [None] * (self.size - 1)
@@ -231,15 +241,17 @@ def balls(genset: GeneratingSet) -> Iterator[Ball]:
     order, so each geodesic is the least shortest word.  A new member costs
     one ``Deduper.add`` (the ball's members are the deduper's list) and one
     blank row of ``edges``.  At radius r the row of every member of depth < r
-    is complete; a member of depth r knows only its backtrack entry (its BFS
-    parent), set when it is found.
+    is complete; a member of depth r knows its backtrack entry (its BFS
+    parent), set when it is found, and the edges to members of depth r - 1
+    that hits filled in from their other end; the rest of its row is -1.
 
     Each row reads its member's node form once, and folds each symbol's
     letters onto it into ``probe``, which ``Deduper.find`` takes as its one
     argument; only a miss forms the element ``m * s``, with the probe's node
-    form, and adds it.  When radius r is yielded, the members of depth r - 2
-    hold no node form (the module docstring says why the search does not
-    read them again).
+    form, and adds it.  A member drops its node form as soon as its row is
+    complete, so when radius r is yielded only the members of depth r hold
+    one, besides the few read since as some element's section (the module
+    docstring says why the search does not read the others again).
     """
     syms, inverse_of = _effective_symbols(genset)
     k = len(syms)
@@ -251,7 +263,7 @@ def balls(genset: GeneratingSet) -> Iterator[Ball]:
                 tuple(name for name, _ in syms))
     members, edges = ball.members, ball.edges
     probe = _Probe()
-    done = start = 0  # members[done:start] have depth r - 1, members[start:] depth r
+    start = 0  # members[start:] have depth r
     while True:
         yield ball
         end = len(members)
@@ -262,7 +274,7 @@ def balls(genset: GeneratingSet) -> Iterator[Ball]:
             row, root, sections = mid * k, m.root, m.sections
             for s, el, letters in symbols:
                 if edges[row + s] >= 0:
-                    continue  # the backtrack entry, never a new geodesic
+                    continue  # known from its other end, never a new geodesic
                 r, secs = root, sections
                 for letter in letters:
                     r, secs = fold_letter(r, secs, letter)
@@ -273,11 +285,10 @@ def balls(genset: GeneratingSet) -> Iterator[Ball]:
                     new.root, new.sections = r, secs
                     target = dedup.add(new)
                     edges.extend(blank)
-                    edges[target * k + inverse_of[s]] = mid
                 edges[row + s] = target
-        for mid in range(done, start):  # depth r - 1: never read again
-            members[mid].sections = None
-        done, start = start, end
+                edges[target * k + inverse_of[s]] = mid  # the same edge, from target
+            m.sections = None  # its row is complete: never read again
+        start = end
         ball.sizes.append(len(members))
 
 

@@ -244,9 +244,11 @@ def decompose(e: Element) -> Element:
     takes in the last letter, else it starts from the trivial node form and
     takes in every letter.  The ball search folds a candidate ``m * s`` from
     the member m's node form itself, before any element exists, and gives
-    the node form to the element it builds for a new member; so ``decompose``
-    builds the node forms of the other elements: sections, members whose
-    node form was released, and callers' words.
+    the node form to the element it builds for a new member, which drops it
+    once its row is complete; so ``decompose`` builds the node forms of the
+    other elements: sections (some of them released members), released
+    members that a lookup walks past on an equal hash or that
+    ``Deduper._rebuild`` keys at a new depth, and callers' words.
     """
     if e.sections is not None:
         return e

@@ -29,8 +29,9 @@ from wilson.growth import (
     sizes_csv_rows,
 )
 from wilson.catalog import make_abar
-from wilson.wreath import (_SIG_INTERN, Element, clear_caches, decompose, engine_stats,
-                           equals, is_identity, node_key, perm_element, signature)
+from wilson.wreath import (_SIG_INTERN, _SIG_MEMO, Element, clear_caches, decompose,
+                           engine_stats, equals, is_identity, node_key, perm_element,
+                           signature)
 
 from partition_oracle import least_levels, pairwise_ball_sizes, word_partition
 from test_wreath import letters_of, reference_decompose, truncated_bar
@@ -200,17 +201,20 @@ def test_deduper_add_recognises_the_miss_by_its_whole_node_form():
 def test_ball_search_folds_every_letter_of_a_symbol():
     """The free quadruple's a, b, c, d are two-letter words (``bar(u) u``
     and so on), and their inverses too, so each candidate folds two letters.
-    The sizes and the edge array's hash were pinned from a search that
-    formed every candidate as a word and decomposed it; folding only each
-    symbol's last letter gives sizes [1, 5, 19, 57, 150]."""
+    The sizes and the hash of the complete rows (of depth < 4) were pinned
+    from a search that formed every candidate as a word and decomposed it;
+    folding only each symbol's last letter gives sizes [1, 5, 19, 57, 150].
+    The outer sphere's known entries are checked by product."""
     q = make_free_quadruple()
     genset = GeneratingSet("abcd", tuple((n, getattr(q, n)) for n in "abcd"))
     assert all(len(el.letters) == 2 for _, el in genset.symbols)
     ball = enumerate_ball(genset, 4)
     assert ball.sizes == [1, 9, 47, 151, 368]
-    edges = ",".join(map(str, ball.edges)).encode()
-    assert hashlib.sha256(edges).hexdigest() == (
-        "c3f6d6bb8e6bb9fa6165d64c00af3ca932f5dd8ba669584ca6271a4d1b2c1340")
+    symbols = search_symbols(genset)
+    rows = ",".join(map(str, ball.edges[:len(symbols) * ball.sizes[3]])).encode()
+    assert hashlib.sha256(rows).hexdigest() == (
+        "ebb80e743d864f64782f6c1de7efdb4f480bfce543061945768b102f8f2143f8")
+    assert_outer_entries_are_products(ball, symbols)
 
 
 INTERNED = """
@@ -350,10 +354,21 @@ def test_balls_grow_in_place(genset):
         parent = {word: i for i, word in enumerate(geodesics)}
         for mid in range(complete // k, ball.size):
             word = geodesics[mid]
-            row = [-1] * k
             if word:
-                row[inverse_of[word[-1]]] = parent[word[:-1]]
-            assert list(ball.edges[mid * k:(mid + 1) * k]) == row
+                assert ball.edges[mid * k + inverse_of[word[-1]]] == parent[word[:-1]]
+        assert_outer_entries_are_products(ball, symbols)
+
+
+def assert_outer_entries_are_products(ball, symbols):
+    """Each known entry of an outer-sphere row, its backtrack entry or an
+    edge that a hit filled in from its other end, is the product of its
+    member and symbol."""
+    k, members = len(symbols), ball.members
+    start = ball.sizes[-2] if ball.radius else 0
+    for mid in range(start, ball.size):
+        for s, target in enumerate(ball.edges[mid * k:(mid + 1) * k]):
+            if target >= 0:
+                assert equals(members[mid] * symbols[s], members[target])
 
 
 @pytest.mark.parametrize("genset", [make_S(1), make_tilde(), PERMS, ROTS],
@@ -376,25 +391,29 @@ def test_geodesics_are_least_words(genset):
         assert ball.geodesics() == expected[:ball.size]
 
 
-@pytest.mark.parametrize("genset", [make_tilde(), make_S(1), make_S(2)],
+@pytest.mark.parametrize("genset, sections", [(make_tilde(), range(4, 10)),
+                                               (make_S(1), ()), (make_S(2), ())],
                          ids=["tilde", "S:1", "S:2"])
-def test_ball_search_releases_node_forms_it_reads_no_more(genset):
-    """From empty caches: when the search yields radius r, the members of
-    depth r - 2 hold no node form, and neither do the candidates of the rows
-    just completed that a hit matched to another member, because the search
-    folds a candidate's node form into its probe and builds no element for a
-    hit.  (A released member read later as some element's section gets its
-    node form back, so the check is made as each radius is reached.)  Each
-    released node form rebuilds to the reference one, and the search from
-    empty caches gives the same ball."""
+def test_ball_search_releases_node_forms_it_reads_no_more(genset, sections):
+    """From empty caches: when the search yields radius r, no member of depth
+    < r holds a node form, since each drops it once its own row is complete,
+    except the members read since as some element's section, which
+    ``decompose`` built again; for tilde these are ``sections``, the six
+    members of depth 2, and each of them has a signature.  Nor do the
+    candidates of the rows just completed that a hit matched to another
+    member, because the search folds a candidate's node form into its probe
+    and builds no element for a hit.  Each released node form rebuilds to
+    the reference one, and the search from empty caches gives the same
+    ball."""
     radius = 9
     symbols = search_symbols(genset)
     k = len(symbols)
     clear_caches()
     for ball in balls(genset):
         r, members, starts = ball.radius, ball.members, [0, *ball.sizes]
-        if r >= 2:
-            assert all(m.sections is None for m in members[starts[r - 2]:starts[r - 1]])
+        held = [i for i in range(starts[r]) if members[i].sections is not None]
+        assert set(held) <= set(sections)
+        assert all(any(members[i] in memo for memo in _SIG_MEMO.values()) for i in held)
         if r >= 1:
             for mid in range(starts[r - 1], starts[r]):
                 for s in range(k):
@@ -403,13 +422,54 @@ def test_ball_search_releases_node_forms_it_reads_no_more(genset):
                         assert candidate.sections is None
         if r == radius:
             break
-    released = members[:starts[radius - 1]]
+    assert held == list(sections)
+    released = members[:starts[radius]]
     for m in released:
         assert letters_of(decompose(m)) == letters_of(reference_decompose(m))
     sizes, edges = list(ball.sizes), ball.edges.tobytes()
     clear_caches()
     again = enumerate_ball(genset, radius)
     assert again.sizes == sizes and again.edges.tobytes() == edges
+
+
+def test_ball_search_holds_few_node_forms():
+    """At the end of an S:1 search, which raises the signature depth once,
+    the node forms held are the outer sphere's, which are still to be
+    expanded, and few others: ``Deduper._rebuild`` releases again each node
+    form it had to build for a key, so fewer than 1% of the members of
+    depth < 14 hold one (17,818 of 23,758 did when it kept them)."""
+    clear_caches()
+    ball = enumerate_ball(make_S(1), 14)
+    inner = ball.members[:ball.sizes[-2]]
+    assert sum(m.sections is not None for m in inner) < len(inner) // 100
+    outer = ball.size - len(inner)
+    assert engine_stats()["decompose_cache"] < outer + ball.size // 10
+
+
+@pytest.mark.parametrize("genset", [make_tilde(), make_S(1), make_S(2), PERMS, ROTS],
+                         ids=["tilde", "S:1", "S:2", "xyz", "uv"])
+def test_ball_search_finds_no_member_whose_row_is_complete(genset, monkeypatch):
+    """A hit ``m * s = t`` fills in t's entry for ``s^-1`` too, so every edge
+    out of a member whose row is complete is known from both ends, and no
+    later lookup returns that member: each member a hit returns still has
+    an unknown entry in its row."""
+    k = len(search_symbols(genset))
+    search = balls(genset)
+    ball = next(search)
+    find, hits = Deduper.find, []
+
+    def spied(self, e):
+        target = find(self, e)
+        if target is not None:
+            hits.append(target)
+            assert -1 in ball.edges[target * k:(target + 1) * k]
+        return target
+
+    monkeypatch.setattr(Deduper, "find", spied)
+    for ball in search:
+        if ball.radius == 9:
+            break
+    assert hits
 
 
 @pytest.mark.parametrize("genset", [make_tilde(), make_S(1), make_S(2)],
