@@ -1,31 +1,30 @@
 """Cayley-ball enumeration, growth statistics and local-isomorphism tests.
 
 Every ball query reads one breadth-first search, the generator :func:`balls`,
-which grows one :class:`Ball` in place, radius by radius.  A ball stores its
-members once, as its :class:`Deduper`'s list, and its search tree once, as a
-flat ``array`` of edges: ``edges[m * k + s]`` is the member reached from member
-``m`` by symbol ``s`` (of ``k``), or -1 while unknown.  Geodesic words are not
-stored; :meth:`Ball.geodesics` reads them back from the edges.  Balls use the
-"at most n factors" convention by default; the "exactly n" variant (which can
-differ when a parity homomorphism exists) is
-:func:`ball_sizes_exact_convention`, an integer walk over (member, parity)
-states on those edges.  All enumeration orders are (length, lexicographic),
-so geodesics and exports are reproducible.
+which grows one :class:`Ball` in place, radius by radius.  A member of a ball
+is an index: the search holds each member's node form, its BFS parent and
+the symbol it was found by, and builds no element for it.  The ball's
+Cayley-graph rows are one flat ``array`` of edges: ``edges[m * k + s]`` is
+the member reached from member ``m`` by symbol ``s`` (of ``k``), or -1 while
+unknown.  :meth:`Ball.geodesics` reads the words back from the parents, and
+:attr:`Ball.members` builds the elements along them, and interns them, only
+when a caller reads it.  Balls use the "at most n factors" convention by
+default; the "exactly n" variant (which can differ when a parity
+homomorphism exists) is :func:`ball_sizes_exact_convention`, an integer
+walk over (member, parity) states on those edges.  All enumeration orders
+are (length, lexicographic), so geodesics and exports are reproducible.
 
-A ball search builds an element only for a new member.  It folds the node
-form of each candidate ``m * s`` from the member m's (``wreath.fold_letter``,
-every letter of the symbol) into one reusable probe that holds a root and
-sections and nothing else, and asks the index about the probe; only on a
-miss does it form the word ``m * s``, give it the probe's node form and add
-it.  A hit builds and interns nothing, and fills in the edge from its other
-end too: ``m * s = t`` gives t's entry for ``s^-1``, so each edge is looked up
-once, and a row skips the entries that are known already.  So once member
-m's row is complete, every edge into m is known from both ends, and no later
-lookup returns m; the search drops m's node form (``wreath.decompose``'s
-cache) right after its row, and keeps every interned element.  The rule
-costs no exactness: an element read again after all, as some element's
-section or by a lookup that only shares its hash, gets its node form back
-from ``decompose``.
+A ball search folds the node form of each candidate ``m * s`` from the
+member m's (``wreath.fold_letter``, every letter of the symbol) into a probe
+that holds a root and sections and nothing else, and asks the index about
+the probe; a miss keeps the probe as the new member's node form.  A hit
+fills in the edge from its other end too: ``m * s = t`` gives t's entry for
+``s^-1``, so each edge is looked up once, and a row skips the entries that
+are known already.  So once member m's row is complete, every edge into m
+is known from both ends, and no later lookup returns m; the search drops
+m's node form right after its row.  The rule costs no exactness: a form
+read again after all, by a lookup that only shares its hash or by the
+index's rebuild at a new depth, is folded again along the parents.
 
 A ball search makes no cyclic garbage: whatever it drops is freed by
 reference counting.  So it leaves the cyclic collector alone, and its
@@ -38,8 +37,8 @@ keys (``wreath.node_key``: root and seven child signatures) in three flat
 member of each bucket.  A hash is never taken for equality: a hash hit is
 settled by ``equals``, and only when that says no is the member's key
 recomputed, to tell a depth rise from two keys that share a hash.  So the
-index holds no Python object per member, and the keys themselves are
-neither stored, memoized nor interned.
+index holds no Python object per member but the ball search's node forms,
+and the keys themselves are neither stored, memoized nor interned.
 """
 
 from __future__ import annotations
@@ -76,23 +75,21 @@ class Deduper:
     ``find`` walks one chain.  A member of the candidate's hash is asked
     ``equals`` first; when that says no, an equal recomputed key raises the
     depth, and a different one is another key of the same hash, so the walk
-    goes on.  In the ball search a member that ``find`` returns has a row
-    still to be expanded, so it holds its node form; a member that only
-    shares the candidate's hash may have released it, and has it built again
-    by ``decompose``.  ``_rebuild`` builds the node form of every member to
-    key it, and drops again those the search had released.
-    ``find`` leaves the node form and hash of its last miss for ``add``, so
-    a key is computed once per candidate, though the ball search asks about
-    a probe and adds the element it builds after the miss.
+    goes on.  ``find`` reads member i's node form through ``_form(i)``,
+    and ``_rebuild`` every member's through ``_forms()``; here both read
+    ``elements``, whose node forms ``node_key`` and ``equals`` build on
+    demand, and the ball search's :class:`_BallIndex` overrides just these
+    two.  ``find`` leaves its last miss and that miss's hash for ``add``, so
+    a key is computed once per candidate.
     """
 
     def __init__(self):
         self.depth = START_SIG_DEPTH
-        self.elements: list[Element] = []
+        self.elements: list = []
         self._hashes = array("q")
         self._next = array("i")
         self._heads = array("i", [-1]) * FIRST_BUCKETS
-        self._missed: tuple | None = None  # (root, sections, hash) of the last miss
+        self._missed: tuple | None = None  # (candidate, hash) of the last miss
 
     def find(self, e) -> int | None:
         """The index of the member equal to ``e``, or None.
@@ -106,32 +103,30 @@ class Deduper:
         while True:
             key = node_key(e, self.depth)
             h = hash(key)
-            hashes, nxt, elements = self._hashes, self._next, self.elements
+            hashes, nxt = self._hashes, self._next
             i = self._heads[h & (len(self._heads) - 1)]
             while i >= 0:
                 if hashes[i] == h:
-                    if equals(e, elements[i]):
+                    form = self._form(i)
+                    if equals(e, form):
                         return i
-                    if node_key(elements[i], self.depth) == key:
+                    if node_key(form, self.depth) == key:
                         break
                 i = nxt[i]
             else:
-                self._missed = (e.root, e.sections, h)
+                self._missed = (e, h)
                 return None
             # key-equal but exactly distinct: refine and retry
             self.depth += 1
             self._rebuild()
 
-    def add(self, e: Element) -> int:
-        """Append the element e, which a ``find`` has just missed, and chain
-        it under the hash of its node key.  That miss is recognised by its
-        node form, the same root and the same sections tuple, not by the
-        object, since the ball search asks ``find`` about a probe and adds
-        the element it then builds with the probe's node form; its hash is
-        reused.  Any other element's hash is computed afresh."""
+    def add(self, e) -> int:
+        """Append e, which a ``find`` has just missed, and chain it under the
+        hash of its node key: the miss's hash if e is the object that
+        ``find`` missed, else one computed afresh."""
         missed, self._missed = self._missed, None
-        if missed is not None and missed[1] is e.sections and missed[0] is e.root:
-            h = missed[2]
+        if missed is not None and missed[0] is e:
+            h = missed[1]
         else:
             h = hash(node_key(e, self.depth))
         idx = len(self.elements)
@@ -156,26 +151,85 @@ class Deduper:
         self._heads = heads
 
     def _rebuild(self) -> None:
-        """Rehash every member at the new depth.  The members that held no
-        node form drop the one their key built, but only after every key is
-        computed, so that each member's node form folds from its prefix's."""
+        """Rehash every member at the new depth."""
         self._missed = None
         hashes, depth = self._hashes, self.depth
-        released = [m for m in self.elements if m.sections is None]
-        for i, m in enumerate(self.elements):
-            hashes[i] = hash(node_key(m, depth))
-        for m in released:
-            m.sections = None
+        for i, form in enumerate(self._forms()):
+            hashes[i] = hash(node_key(form, depth))
         self._rechain(len(self._heads))
 
+    def _form(self, i: int):
+        """Member i's node form, for ``find``: the element itself, whose node
+        form ``node_key`` and ``equals`` build when it holds none."""
+        return self.elements[i]
 
-class _Probe:
-    """A candidate's node form, before any element is built for it."""
+    def _forms(self):
+        """Every member's node form in index order, for ``_rebuild``."""
+        return self.elements
+
+
+class _Form:
+    """A node form, a root and sections, with no element built for it: the
+    ball search's probe, and each member's form in its index."""
 
     __slots__ = ("root", "sections")
 
     def __repr__(self):
-        return f"<candidate with root {self.root.cycles()}>"
+        return f"<node form with root {self.root.cycles()}>"
+
+
+class _BallIndex(Deduper):
+    """The ball search's index, which starts with the root member, the
+    identity.  Member i is its node form ``elements[i]``, a :class:`_Form`,
+    its BFS parent ``parent[i]`` (-1 for the root) and its symbol
+    ``via[i]``; no element is built for it.  The search sets a member's form
+    to None once the member's row is complete.
+
+    ``_form`` folds a released form again from the nearest ancestor that
+    still holds one, along the symbols' ``words``, and keeps the forms it
+    folds, as ``decompose`` keeps an element's.  ``_forms`` folds each
+    released form from its parent's, just built, in index order, and keeps
+    none of them.
+    """
+
+    def __init__(self, words: list[tuple]):
+        super().__init__()
+        self.parent = array("i", [-1])
+        self.via = array("B", [0])
+        self._words = words  # each search symbol's letters
+        identity = decompose(Element())
+        self._root = _Form()  # kept here, since the search releases it
+        self._root.root, self._root.sections = identity.root, identity.sections
+        self.add(self._root)
+
+    def _child(self, node, i: int) -> _Form:
+        """Member i's node form, folded from ``node``, its parent's."""
+        form, root, secs = _Form(), node.root, node.sections
+        for letter in self._words[self.via[i]]:
+            root, secs = fold_letter(root, secs, letter)
+        form.root, form.sections = root, secs
+        return form
+
+    def _form(self, i: int):
+        forms = self.elements
+        if forms[i] is not None:
+            return forms[i]
+        path = []
+        while i and forms[i] is None:
+            path.append(i)
+            i = self.parent[i]
+        node = forms[i] or self._root
+        for j in reversed(path):
+            node = forms[j] = self._child(node, j)
+        return node
+
+    def _forms(self) -> list:
+        built = self.elements[:]
+        built[0] = self._root
+        for i in range(1, len(built)):
+            if built[i] is None:
+                built[i] = self._child(built[self.parent[i]], i)
+        return built
 
 
 def _effective_symbols(genset: GeneratingSet):
@@ -193,16 +247,17 @@ def _effective_symbols(genset: GeneratingSet):
 
 
 class Ball:
-    """A Cayley ball: ``members`` is the search's ``Deduper.elements`` list,
-    ``sizes`` the cumulative ball sizes by radius 0..``radius``, and
-    ``edges[m * k + s]`` the member reached from member m by symbol s, or -1."""
+    """A Cayley ball: ``index`` is the search's :class:`_BallIndex`, whose
+    ``parent`` and ``via`` arrays are its search tree, ``sizes`` the
+    cumulative ball sizes by radius 0..``radius``, and ``edges[m * k + s]``
+    the member reached from member m by symbol s, or -1."""
 
-    __slots__ = ("genset", "members", "sizes", "edges", "symbol_names")
+    __slots__ = ("genset", "index", "sizes", "edges", "symbol_names")
 
-    def __init__(self, genset: GeneratingSet, members: list[Element],
+    def __init__(self, genset: GeneratingSet, index: _BallIndex,
                  sizes: list[int], edges: array, symbol_names: tuple[str, ...]):
         self.genset = genset
-        self.members = members
+        self.index = index
         self.sizes = sizes
         self.edges = edges
         self.symbol_names = symbol_names
@@ -213,24 +268,29 @@ class Ball:
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.index.parent)
+
+    def _tree(self):
+        """``(parent, symbol)`` of each member but the root, in order."""
+        return itertools.islice(zip(self.index.parent, self.index.via), 1, None)
 
     def geodesics(self) -> list[tuple[int, ...]]:
-        """Each member's least shortest word, read back from the edges.
-
-        Scanning the rows in member order, the first entry ``(m, s)`` that
-        reaches member t is the one the search found t by, so t's word is
-        ``words[m] + (s,)``: rows of depth < radius are complete, and the
-        known entries of a row of the outer sphere (its backtrack entry and
-        the edges that hits filled in) lead to members of depth radius - 1,
-        whose words the complete rows before it gave already.
-        """
-        k = len(self.symbol_names)
-        words: list = [()] + [None] * (self.size - 1)
-        for i, target in enumerate(self.edges):
-            if target >= 0 and words[target] is None:
-                words[target] = words[i // k] + (i % k,)
+        """Each member's least shortest word: its BFS parent's word and the
+        symbol it was found by."""
+        words: list = [()]
+        for p, s in self._tree():
+            words.append(words[p] + (s,))
         return words
+
+    @property
+    def members(self) -> list[Element]:
+        """Each member as an element, the product along its geodesic, built
+        (and interned) only when read."""
+        symbols = [el for _, el in _effective_symbols(self.genset)[0]]
+        members = [Element()]
+        for p, s in self._tree():
+            members.append(members[p] * symbols[s])
+        return members
 
 
 def balls(genset: GeneratingSet) -> Iterator[Ball]:
@@ -239,57 +299,56 @@ def balls(genset: GeneratingSet) -> Iterator[Ball]:
     The same :class:`Ball` is yielded each time and grows in place when the
     generator resumes.  Members are found in (length, lexicographic word)
     order, so each geodesic is the least shortest word.  A new member costs
-    one ``Deduper.add`` (the ball's members are the deduper's list) and one
-    blank row of ``edges``.  At radius r the row of every member of depth < r
-    is complete; a member of depth r knows its backtrack entry (its BFS
+    its parent and symbol, one ``Deduper.add`` of its node form and one
+    blank row of ``edges``.  At radius r the row of every member of depth <
+    r is complete; a member of depth r knows its backtrack entry (its BFS
     parent), set when it is found, and the edges to members of depth r - 1
     that hits filled in from their other end; the rest of its row is -1.
 
     Each row reads its member's node form once, and folds each symbol's
     letters onto it into ``probe``, which ``Deduper.find`` takes as its one
-    argument; only a miss forms the element ``m * s``, with the probe's node
-    form, and adds it.  A member drops its node form as soon as its row is
-    complete, so when radius r is yielded only the members of depth r hold
-    one, besides the few read since as some element's section (the module
-    docstring says why the search does not read the others again).
+    argument; a miss adds the probe itself as the new member's node form,
+    and the next lookup takes a fresh probe.  A member's form is released
+    as soon as its row is complete, so when radius r is yielded only the
+    members of depth r hold one, besides the few a lookup that shares their
+    hash has folded again (the module docstring says why the search does not
+    read the others again).
     """
     syms, inverse_of = _effective_symbols(genset)
     k = len(syms)
-    symbols = [(s, el, el.letters) for s, (_, el) in enumerate(syms)]
+    words = [el.letters for _, el in syms]
     blank = array("i", [-1]) * k
-    dedup = Deduper()
-    dedup.add(Element())
-    ball = Ball(genset, dedup.elements, [1], array("i", blank),
-                tuple(name for name, _ in syms))
-    members, edges = ball.members, ball.edges
-    probe = _Probe()
-    start = 0  # members[start:] have depth r
+    dedup = _BallIndex(words)
+    forms, parent, via = dedup.elements, dedup.parent, dedup.via
+    ball = Ball(genset, dedup, [1], array("i", blank), tuple(name for name, _ in syms))
+    edges = ball.edges
+    probe = _Form()
+    start = 0  # forms[start:] belong to the members of depth r
     while True:
         yield ball
-        end = len(members)
+        end = len(forms)
         for mid in range(start, end):
-            m = members[mid]
-            if m.sections is None:
-                decompose(m)
-            row, root, sections = mid * k, m.root, m.sections
-            for s, el, letters in symbols:
+            form = forms[mid]
+            row, root, sections = mid * k, form.root, form.sections
+            for s, word in enumerate(words):
                 if edges[row + s] >= 0:
                     continue  # known from its other end, never a new geodesic
                 r, secs = root, sections
-                for letter in letters:
+                for letter in word:
                     r, secs = fold_letter(r, secs, letter)
                 probe.root, probe.sections = r, secs
                 target = dedup.find(probe)
                 if target is None:
-                    new = m * el
-                    new.root, new.sections = r, secs
-                    target = dedup.add(new)
+                    parent.append(mid)
+                    via.append(s)
+                    target = dedup.add(probe)
+                    probe = _Form()
                     edges.extend(blank)
                 edges[row + s] = target
                 edges[target * k + inverse_of[s]] = mid  # the same edge, from target
-            m.sections = None  # its row is complete: never read again
+            forms[mid] = None  # its row is complete: never read again
         start = end
-        ball.sizes.append(len(members))
+        ball.sizes.append(len(forms))
 
 
 def enumerate_ball(genset: GeneratingSet, radius: int) -> Ball:

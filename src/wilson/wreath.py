@@ -18,10 +18,10 @@ factor, so it is normalized only at the seam where they meet.
 ``<g_1,...,g_7> a`` (root permutation plus seven suffix sections) in slots of
 the element itself, building it from the node form of the element's prefix
 by the product rule, one letter at a time through ``fold_letter``; the ball
-search calls that fold too, to get a candidate's node form before it builds
-any element.  A node form is a cache: a caller may drop it by setting
-``sections`` to None, and ``decompose`` builds it again when it is next
-read.  An atom letter updates only the sections its atom has
+search calls that fold too, and holds its members as node forms with no
+element built for them.  A node form is a cache: a caller may drop it by
+setting ``sections`` to None, and ``decompose`` builds it again when it is
+next read.  An atom letter updates only the sections its atom has
 nontrivial (one or two of seven for the catalog's atoms, which are bounded
 automata), read from the atom's ``nontrivial`` table, and the atom keeps
 the root it leads to after each root it has met.  ``node_key`` reads an
@@ -242,13 +242,10 @@ def decompose(e: Element) -> Element:
 
     The fold starts from the node form of ``e.prefix`` when that has one and
     takes in the last letter, else it starts from the trivial node form and
-    takes in every letter.  The ball search folds a candidate ``m * s`` from
-    the member m's node form itself, before any element exists, and gives
-    the node form to the element it builds for a new member, which drops it
-    once its row is complete; so ``decompose`` builds the node forms of the
-    other elements: sections (some of them released members), released
-    members that a lookup walks past on an equal hash or that
-    ``Deduper._rebuild`` keys at a new depth, and callers' words.
+    takes in every letter.  The ball search folds its candidates' and
+    members' node forms itself, with no element built for them, so
+    ``decompose`` builds the node forms of sections, of the identity and of
+    callers' words.
     """
     if e.sections is not None:
         return e
@@ -360,12 +357,12 @@ def signature(e: Element, depth: int) -> int:
 
 
 def clear_caches() -> None:
-    """Drop every node form and the signature tables.
+    """Drop every element's node form and the signature tables.
 
-    A node form is a cache that any caller may drop, as the ball search does
-    for members it will not read again: ``decompose`` rebuilds it on demand.
-    The intern table stays: atoms' sections and cached generating sets hold
-    elements, and identity equality needs one object per word.
+    A node form is a cache that any caller may drop: ``decompose`` rebuilds
+    it on demand.  The intern table stays: atoms' sections and cached
+    generating sets hold elements, and identity equality needs one object
+    per word.
     """
     for children in _CHILDREN.values():
         for e in children.values():
@@ -375,8 +372,9 @@ def clear_caches() -> None:
 
 
 def engine_stats() -> dict[str, int]:
-    """Node forms held, signature entries, interned elements (the root
-    included) and interned permutations."""
+    """Node forms held by elements, signature entries, interned elements
+    (the root included) and interned permutations.  A ball search's members
+    are not elements, so their node forms count under none of these."""
     return {
         "decompose_cache": sum(e.sections is not None
                                for children in _CHILDREN.values() for e in children.values()),

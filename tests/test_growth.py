@@ -29,7 +29,7 @@ from wilson.growth import (
     sizes_csv_rows,
 )
 from wilson.catalog import make_abar
-from wilson.wreath import (_SIG_INTERN, _SIG_MEMO, Element, clear_caches, decompose,
+from wilson.wreath import (_SIG_INTERN, Element, clear_caches, decompose,
                            engine_stats, equals, is_identity, node_key, perm_element,
                            signature)
 
@@ -134,26 +134,16 @@ def test_deduper_long_chains_across_doublings(monkeypatch):
     assert free_monoid_check(6)["all_ok"]
 
 
-def test_deduper_arrays_after_a_search(monkeypatch):
-    """Each member's hash is its key's at the final depth, each member sits
-    once in the chain of its bucket, and the table is at most twice the
-    members (or the first size)."""
-    made = []
-    init = Deduper.__init__
-
-    def kept_init(self):
-        init(self)
-        made.append(self)
-
-    monkeypatch.setattr(Deduper, "__init__", kept_init)
+def test_deduper_arrays_after_a_search():
+    """Each member's hash is its node form's key at the final depth, each
+    member sits once in the chain of its bucket, and the table is at most
+    twice the members (or the first size)."""
     ball = enumerate_ball(make_tilde(), 12)
-    (dedup,) = made
-    n = ball.size
-    assert dedup.elements is ball.members
-    assert len(dedup._hashes) == len(dedup._next) == n
+    dedup, n = ball.index, ball.size
+    assert len(dedup.elements) == len(dedup._hashes) == len(dedup._next) == n
     assert len(dedup._heads) <= max(1024, 2 * n)
-    for i, m in enumerate(ball.members):
-        assert dedup._hashes[i] == hash(node_key(m, dedup.depth))
+    for i, form in enumerate(dedup._forms()):
+        assert dedup._hashes[i] == hash(node_key(form, dedup.depth))
     mask = len(dedup._heads) - 1
     chained = chains(dedup)
     assert sorted(i for chain in chained.values() for i in chain) == list(range(n))
@@ -163,7 +153,8 @@ def test_deduper_arrays_after_a_search(monkeypatch):
 
 def test_ball_search_keys_each_candidate_once(monkeypatch):
     """``add`` reuses the key of the miss that ``find`` just made, so it
-    computes a key only for the root, which no lookup precedes."""
+    computes a key only for the root, which no lookup precedes; the root's
+    node form is the identity element's."""
     in_add, calls = [], []
     key, add = growth.node_key, Deduper.add
 
@@ -182,7 +173,9 @@ def test_ball_search_keys_each_candidate_once(monkeypatch):
     monkeypatch.setattr(growth, "node_key", counted_key)
     monkeypatch.setattr(Deduper, "add", counted_add)
     ball = enumerate_ball(make_tilde(), 10)
-    assert ball.size == 1309 and calls == [Element()]
+    identity = decompose(Element())
+    assert ball.size == 1309
+    assert [(e.root, e.sections) for e in calls] == [(identity.root, identity.sections)]
 
 
 def test_deduper_add_recognises_the_miss_by_its_whole_node_form():
@@ -229,27 +222,30 @@ print(ball.size, wreath.engine_stats()["elements"] - before)
 
 
 def test_ball_search_interns_only_new_members():
-    """In a fresh interpreter, a tilde search interns one element per new
-    member and nothing else: the identity and the three generators are
-    interned already, and a candidate that a hit matches is never built."""
+    """In a fresh interpreter, a tilde search interns no element for its
+    members, only a few section words: a member is its node form, parent
+    and symbol, and a candidate is never built as a word (the search
+    interned one element per new member, 1,305 here, before members were
+    ids)."""
     src = str(Path(wilson.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", INTERNED],
                           capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     size, interned = map(int, proc.stdout.split())
-    assert size == 1309 and interned == size - 4
+    assert size == 1309 and interned <= 10
 
 
 @pytest.mark.parametrize("genset", [make_tilde(), make_S(1), make_S(2), make_S(3)],
                          ids=["tilde", "S:1", "S:2", "S:3"])
 def test_ball_search_sets_the_reference_node_forms(genset):
-    """The node form the search folds for each new member, read as each
-    radius is yielded (before any is released), is the whole-word walk's."""
+    """The node form the search folds for each new member, read from the
+    index as each radius is yielded (before any is released), is the
+    whole-word walk's of the member built as an element."""
     for ball in balls(genset):
-        r, members = ball.radius, ball.members
-        for m in members[ball.sizes[r - 1] if r else 0:]:
-            assert m.sections is not None
-            assert letters_of(m) == letters_of(reference_decompose(m))
+        r, members, forms = ball.radius, ball.members, ball.index.elements
+        for i in range(ball.sizes[r - 1] if r else 0, ball.size):
+            assert forms[i] is not None
+            assert letters_of(forms[i]) == letters_of(reference_decompose(members[i]))
         if r == 10:
             break
 
@@ -391,41 +387,33 @@ def test_geodesics_are_least_words(genset):
         assert ball.geodesics() == expected[:ball.size]
 
 
-@pytest.mark.parametrize("genset, sections", [(make_tilde(), range(4, 10)),
-                                               (make_S(1), ()), (make_S(2), ())],
+@pytest.mark.parametrize("genset", [make_tilde(), make_S(1), make_S(2)],
                          ids=["tilde", "S:1", "S:2"])
-def test_ball_search_releases_node_forms_it_reads_no_more(genset, sections):
-    """From empty caches: when the search yields radius r, no member of depth
-    < r holds a node form, since each drops it once its own row is complete,
-    except the members read since as some element's section, which
-    ``decompose`` built again; for tilde these are ``sections``, the six
-    members of depth 2, and each of them has a signature.  Nor do the
-    candidates of the rows just completed that a hit matched to another
-    member, because the search folds a candidate's node form into its probe
-    and builds no element for a hit.  Each released node form rebuilds to
-    the reference one, and the search from empty caches gives the same
-    ball."""
+def test_ball_search_releases_node_forms_it_reads_no_more(genset):
+    """From empty caches: when the search yields radius r, the index holds
+    the node form of every member of depth r and of no member of depth < r,
+    since each is released once its own row is complete and no lookup reads
+    it again.  A released form read after all is folded again from the
+    nearest ancestor that holds one, the ancestors' on the way are kept,
+    and each equals the whole-word walk's of the member built as an
+    element.  The search from empty caches gives the same ball."""
     radius = 9
-    symbols = search_symbols(genset)
-    k = len(symbols)
     clear_caches()
     for ball in balls(genset):
-        r, members, starts = ball.radius, ball.members, [0, *ball.sizes]
-        held = [i for i in range(starts[r]) if members[i].sections is not None]
-        assert set(held) <= set(sections)
-        assert all(any(members[i] in memo for memo in _SIG_MEMO.values()) for i in held)
-        if r >= 1:
-            for mid in range(starts[r - 1], starts[r]):
-                for s in range(k):
-                    candidate = members[mid] * symbols[s]
-                    if members[ball.edges[mid * k + s]] is not candidate:
-                        assert candidate.sections is None
+        r, forms = ball.radius, ball.index.elements
+        inner = ball.sizes[r - 1] if r else 0
+        assert all(f is None for f in forms[:inner])
+        assert all(f is not None for f in forms[inner:])
         if r == radius:
             break
-    assert held == list(sections)
-    released = members[:starts[radius]]
-    for m in released:
-        assert letters_of(decompose(m)) == letters_of(reference_decompose(m))
+    index, members = ball.index, ball.members
+    path = [inner - 1]  # a member of depth radius - 1, up to the root
+    while path[-1]:
+        path.append(index.parent[path[-1]])
+    index._form(inner - 1)
+    assert [i for i in range(inner) if forms[i] is not None] == sorted(path[:-1])
+    for i in range(inner):
+        assert letters_of(index._form(i)) == letters_of(reference_decompose(members[i]))
     sizes, edges = list(ball.sizes), ball.edges.tobytes()
     clear_caches()
     again = enumerate_ball(genset, radius)
@@ -434,16 +422,78 @@ def test_ball_search_releases_node_forms_it_reads_no_more(genset, sections):
 
 def test_ball_search_holds_few_node_forms():
     """At the end of an S:1 search, which raises the signature depth once,
-    the node forms held are the outer sphere's, which are still to be
-    expanded, and few others: ``Deduper._rebuild`` releases again each node
-    form it had to build for a key, so fewer than 1% of the members of
-    depth < 14 hold one (17,818 of 23,758 did when it kept them)."""
+    the index holds the node forms of the outer sphere, which are still to
+    be expanded, and no other: ``Deduper._rebuild`` folds each released
+    form from its parent's to key it, and keeps none of them.  The engine's
+    own node forms are the sections', far fewer than the members (3,001 of
+    47,230; 26,473 when members were elements)."""
     clear_caches()
     ball = enumerate_ball(make_S(1), 14)
-    inner = ball.members[:ball.sizes[-2]]
-    assert sum(m.sections is not None for m in inner) < len(inner) // 100
-    outer = ball.size - len(inner)
-    assert engine_stats()["decompose_cache"] < outer + ball.size // 10
+    forms, inner = ball.index.elements, ball.sizes[-2]
+    assert ball.index.depth == 4
+    assert all(f is None for f in forms[:inner])
+    assert all(f is not None for f in forms[inner:])
+    assert engine_stats()["decompose_cache"] < ball.size // 10
+
+
+@pytest.mark.parametrize("genset, depth", [(make_tilde(), 2), (make_S(1), 3), (make_S(2), 2)],
+                         ids=["tilde", "S:1", "S:2"])
+def test_ball_search_rekeys_released_forms(genset, depth, monkeypatch):
+    """From signature depth 1 the searches raise the depth while most node
+    forms are released, so ``_rebuild`` keys each released member by a form
+    folded from its parent's: the sizes and edges are the unpatched ones."""
+    ball = enumerate_ball(genset, 8)
+    monkeypatch.setattr(growth, "START_SIG_DEPTH", 1)
+    patched = enumerate_ball(genset, 8)
+    assert patched.index.depth == depth
+    assert patched.sizes == ball.sizes and patched.edges == ball.edges
+
+
+@pytest.mark.parametrize("genset", [make_S(1), make_tilde(), PERMS, ROTS],
+                         ids=["S:1", "tilde", "xyz", "uv"])
+def test_geodesics_match_the_row_scan(genset):
+    """The geodesics read from the search tree are those of the row scan:
+    in member order, the first known entry ``(m, s)`` that reaches member t
+    gives t the word of m followed by s."""
+    ball = enumerate_ball(genset, 8)
+    k = len(ball.symbol_names)
+    words = [()] + [None] * (ball.size - 1)
+    for i, target in enumerate(ball.edges):
+        if target >= 0 and words[target] is None:
+            words[target] = words[i // k] + (i % k,)
+    assert ball.geodesics() == words
+
+
+FREED = """
+import gc, tracemalloc
+from wilson.catalog import make_tilde
+from wilson.growth import enumerate_ball
+genset = make_tilde()
+gc.disable()
+tracemalloc.start()
+enumerate_ball(genset, 12)
+base = tracemalloc.get_traced_memory()[0]
+ball = enumerate_ball(genset, 14)
+held = tracemalloc.get_traced_memory()[0] - base
+del ball
+print(held, tracemalloc.get_traced_memory()[0] - base)
+"""
+
+
+def test_ball_frees_its_search_with_it():
+    """The ball holds the search's index, its node forms and arrays, and
+    the engine keeps almost nothing for it: in a fresh interpreter with the
+    collector off, dropping the tilde R=14 ball frees more than nine tenths
+    of what the search left allocated (about 4% stays; 82% stayed when each
+    member was an interned element).  An R=12 search runs first, under
+    tracing too, so that the atoms' root tables and the interpreter's store
+    of freed tuples for reuse are already full when the count starts."""
+    src = str(Path(wilson.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", FREED],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    held, kept = map(int, proc.stdout.split())
+    assert kept < held / 10
 
 
 @pytest.mark.parametrize("genset", [make_tilde(), make_S(1), make_S(2), PERMS, ROTS],
@@ -452,7 +502,9 @@ def test_ball_search_finds_no_member_whose_row_is_complete(genset, monkeypatch):
     """A hit ``m * s = t`` fills in t's entry for ``s^-1`` too, so every edge
     out of a member whose row is complete is known from both ends, and no
     later lookup returns that member: each member a hit returns still has
-    an unknown entry in its row."""
+    an unknown entry in its row.  The spy goes in after the first radius is
+    yielded, so it sees the lookups only because the search calls ``find``
+    through its index each time."""
     k = len(search_symbols(genset))
     search = balls(genset)
     ball = next(search)
