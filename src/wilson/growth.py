@@ -2,29 +2,35 @@
 
 Every ball query reads one breadth-first search, the generator :func:`balls`,
 which grows one :class:`Ball` in place, radius by radius.  A member of a ball
-is an index: the search holds each member's node form, its BFS parent and
-the symbol it was found by, and builds no element for it.  The ball's
-Cayley-graph rows are one flat ``array`` of edges: ``edges[m * k + s]`` is
-the member reached from member ``m`` by symbol ``s`` (of ``k``), or -1 while
-unknown.  :meth:`Ball.geodesics` reads the words back from the parents, and
-:attr:`Ball.members` builds the elements along them, and interns them, only
-when a caller reads it.  Balls use the "at most n factors" convention by
-default; the "exactly n" variant (which can differ when a parity
-homomorphism exists) is :func:`ball_sizes_exact_convention`, an integer
-walk over (member, parity) states on those edges.  All enumeration orders
-are (length, lexicographic), so geodesics and exports are reproducible.
+is an index: the search holds its BFS parent, the symbol it was found by,
+the id of its root permutation and, while its row is still to be expanded,
+its bare sections tuple, and builds no element and no object for it.  The
+ball's Cayley-graph rows are one flat ``array`` of edges: ``edges[m * k +
+s]`` is the member reached from member ``m`` by symbol ``s`` (of ``k``), or
+-1 while unknown.  :meth:`Ball.geodesics` reads the words back from the
+parents, and :attr:`Ball.members` builds the elements along them, and
+interns them, only when a caller reads it.  Balls use the "at most n
+factors" convention by default; the "exactly n" variant (which can differ
+when a parity homomorphism exists) is :func:`ball_sizes_exact_convention`,
+an integer walk over (member, parity) states on those edges.  All
+enumeration orders are (length, lexicographic), so geodesics and exports
+are reproducible.
 
 A ball search folds the node form of each candidate ``m * s`` from the
-member m's (``wreath.fold_letter``, every letter of the symbol) into a probe
-that holds a root and sections and nothing else, and asks the index about
-the probe; a miss keeps the probe as the new member's node form.  A hit
-fills in the edge from its other end too: ``m * s = t`` gives t's entry for
-``s^-1``, so each edge is looked up once, and a row skips the entries that
-are known already.  So once member m's row is complete, every edge into m
-is known from both ends, and no later lookup returns m; the search drops
-m's node form right after its row.  The rule costs no exactness: a form
-read again after all, by a lookup that only shares its hash or by the
-index's rebuild at a new depth, is folded again along the parents.
+member m's (``wreath.fold_letter``, every letter of the symbol) into one
+reusable probe that holds a root and sections and nothing else, and asks the
+index about the probe; a miss stores the probe's root id and sections as
+the new member's.  A hit fills in the edge from its other end too: ``m * s =
+t`` gives t's entry for ``s^-1``, so each edge is looked up once, and a row
+skips the entries that are known already.  So once member m's row is
+complete, every edge into m is known from both ends, and no later lookup
+returns m; the search drops m's sections right after its row, and keeps
+only its root id.  The rule costs no exactness: a form read again after
+all, by a lookup that only shares its hash or by the index's rebuild at a
+new depth, is folded again along the parents.  The rebuild streams: it
+folds each released form from its parent's in index order and drops a
+parent's once the walk has passed its last child, so it holds about one
+sphere of folded forms at a time.
 
 A ball search makes no cyclic garbage: whatever it drops is freed by
 reference counting.  So it leaves the cyclic collector alone, and its
@@ -37,14 +43,16 @@ keys (``wreath.node_key``: root and seven child signatures) in three flat
 member of each bucket.  A hash is never taken for equality: a hash hit is
 settled by ``equals``, and only when that says no is the member's key
 recomputed, to tell a depth rise from two keys that share a hash.  So the
-index holds no Python object per member but the ball search's node forms,
-and the keys themselves are neither stored, memoized nor interned.
+index holds no Python object per member but the sections tuples of the
+ball search's unexpanded members, and the keys themselves are neither
+stored, memoized nor interned.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
+from collections import deque
 from collections.abc import Iterator
 
 from .catalog import GeneratingSet, make_S, make_free_quadruple, make_tilde
@@ -75,12 +83,14 @@ class Deduper:
     ``find`` walks one chain.  A member of the candidate's hash is asked
     ``equals`` first; when that says no, an equal recomputed key raises the
     depth, and a different one is another key of the same hash, so the walk
-    goes on.  ``find`` reads member i's node form through ``_form(i)``,
-    and ``_rebuild`` every member's through ``_forms()``; here both read
+    goes on.  ``add`` stores a member through ``_store(e)``, ``find`` reads
+    member i's node form through ``_form(i)``, and ``_rebuild`` every
+    member's through ``_forms()``; here the three append to and read
     ``elements``, whose node forms ``node_key`` and ``equals`` build on
     demand, and the ball search's :class:`_BallIndex` overrides just these
-    two.  ``find`` leaves its last miss and that miss's hash for ``add``, so
-    a key is computed once per candidate.
+    three.  ``find`` leaves its last miss's root, sections and hash for
+    ``add``, so a key is computed once per candidate, even when the
+    candidate is one probe object refilled for each lookup.
     """
 
     def __init__(self):
@@ -89,7 +99,7 @@ class Deduper:
         self._hashes = array("q")
         self._next = array("i")
         self._heads = array("i", [-1]) * FIRST_BUCKETS
-        self._missed: tuple | None = None  # (candidate, hash) of the last miss
+        self._missed: tuple | None = None  # (root, sections, hash) of the last miss
 
     def find(self, e) -> int | None:
         """The index of the member equal to ``e``, or None.
@@ -114,26 +124,26 @@ class Deduper:
                         break
                 i = nxt[i]
             else:
-                self._missed = (e, h)
+                self._missed = (e.root, e.sections, h)
                 return None
             # key-equal but exactly distinct: refine and retry
             self.depth += 1
             self._rebuild()
 
     def add(self, e) -> int:
-        """Append e, which a ``find`` has just missed, and chain it under the
-        hash of its node key: the miss's hash if e is the object that
-        ``find`` missed, else one computed afresh."""
+        """Store e, which a ``find`` has just missed, and chain it under the
+        hash of its node key: the miss's hash if e still holds the root and
+        sections objects that ``find`` missed, else one computed afresh."""
         missed, self._missed = self._missed, None
-        if missed is not None and missed[0] is e:
-            h = missed[1]
+        if missed is not None and missed[0] is e.root and missed[1] is e.sections:
+            h = missed[2]
         else:
             h = hash(node_key(e, self.depth))
-        idx = len(self.elements)
-        self.elements.append(e)
+        idx = len(self._hashes)
+        self._store(e)
         self._hashes.append(h)
         heads = self._heads
-        if len(self.elements) < len(heads):
+        if idx + 1 < len(heads):
             bucket = h & (len(heads) - 1)
             self._next.append(heads[bucket])
             heads[bucket] = idx
@@ -158,6 +168,10 @@ class Deduper:
             hashes[i] = hash(node_key(form, depth))
         self._rechain(len(self._heads))
 
+    def _store(self, e) -> None:
+        """Keep member e, for ``add``: here the element itself."""
+        self.elements.append(e)
+
     def _form(self, i: int):
         """Member i's node form, for ``find``: the element itself, whose node
         form ``node_key`` and ``equals`` build when it holds none."""
@@ -170,7 +184,8 @@ class Deduper:
 
 class _Form:
     """A node form, a root and sections, with no element built for it: the
-    ball search's probe, and each member's form in its index."""
+    ball search's probe, refilled for each lookup, and a member's form as
+    its index reads it."""
 
     __slots__ = ("root", "sections")
 
@@ -180,27 +195,43 @@ class _Form:
 
 class _BallIndex(Deduper):
     """The ball search's index, which starts with the root member, the
-    identity.  Member i is its node form ``elements[i]``, a :class:`_Form`,
-    its BFS parent ``parent[i]`` (-1 for the root) and its symbol
-    ``via[i]``; no element is built for it.  The search sets a member's form
-    to None once the member's row is complete.
+    identity.  Member i is its BFS parent ``parent[i]`` (-1 for the root),
+    its symbol ``via[i]``, its root permutation ``perms[roots[i]]`` and its
+    sections tuple ``elements[i]``; no element and no object is built for
+    it.  ``roots`` is an ``array('H')`` of ids into ``perms``, the roots met
+    so far (at most 7! of them), and a root id is never released.  The
+    search sets a member's sections to None once the member's row is
+    complete.
 
-    ``_form`` folds a released form again from the nearest ancestor that
-    still holds one, along the symbols' ``words``, and keeps the forms it
-    folds, as ``decompose`` keeps an element's.  ``_forms`` folds each
-    released form from its parent's, just built, in index order, and keeps
-    none of them.
+    ``_form`` builds a :class:`_Form` for the member that ``find`` reads.  It
+    folds released sections again from the nearest ancestor that still holds
+    them, along the symbols' ``words``, and keeps the sections it folds, as
+    ``decompose`` keeps an element's node form.  ``_forms`` yields every
+    member's form in index order, folding each released one from its
+    parent's; parents never decrease in index order, so it keeps a parent's
+    form only until the walk passes the parent's last child.
     """
 
     def __init__(self, words: list[tuple]):
         super().__init__()
         self.parent = array("i", [-1])
         self.via = array("B", [0])
+        self.roots = array("H")
+        self.perms: list = []
+        self._root_ids: dict = {}
         self._words = words  # each search symbol's letters
         identity = decompose(Element())
         self._root = _Form()  # kept here, since the search releases it
         self._root.root, self._root.sections = identity.root, identity.sections
         self.add(self._root)
+
+    def _store(self, e) -> None:
+        rid = self._root_ids.get(e.root)
+        if rid is None:
+            rid = self._root_ids[e.root] = len(self.perms)
+            self.perms.append(e.root)
+        self.roots.append(rid)
+        self.elements.append(e.sections)
 
     def _child(self, node, i: int) -> _Form:
         """Member i's node form, folded from ``node``, its parent's."""
@@ -210,26 +241,34 @@ class _BallIndex(Deduper):
         form.root, form.sections = root, secs
         return form
 
-    def _form(self, i: int):
-        forms = self.elements
-        if forms[i] is not None:
-            return forms[i]
-        path = []
-        while i and forms[i] is None:
-            path.append(i)
-            i = self.parent[i]
-        node = forms[i] or self._root
-        for j in reversed(path):
-            node = forms[j] = self._child(node, j)
-        return node
+    def _form(self, i: int) -> _Form:
+        secs = self.elements[i]
+        if secs is None:  # released: fold it again from its parent's
+            if not i:
+                return self._root
+            form = self._child(self._form(self.parent[i]), i)
+            self.elements[i] = form.sections
+            return form
+        form = _Form()
+        form.root, form.sections = self.perms[self.roots[i]], secs
+        return form
 
-    def _forms(self) -> list:
-        built = self.elements[:]
-        built[0] = self._root
-        for i in range(1, len(built)):
-            if built[i] is None:
-                built[i] = self._child(built[self.parent[i]], i)
-        return built
+    def _forms(self) -> Iterator[_Form]:
+        parent = self.parent
+        last = parent[-1]  # no member after this one is a parent
+        window: deque = deque()  # the forms of members lo, lo + 1, ..., up to last
+        lo = 0
+        for i, secs in enumerate(self.elements):
+            while lo < parent[i]:  # no later member's parent precedes parent[i]
+                window.popleft()
+                lo += 1
+            if i and secs is None:
+                form = self._child(window[0], i)
+            else:  # held, or the root member
+                form = self._form(i)
+            if i <= last:
+                window.append(form)
+            yield form
 
 
 def _effective_symbols(genset: GeneratingSet):
@@ -299,37 +338,39 @@ def balls(genset: GeneratingSet) -> Iterator[Ball]:
     The same :class:`Ball` is yielded each time and grows in place when the
     generator resumes.  Members are found in (length, lexicographic word)
     order, so each geodesic is the least shortest word.  A new member costs
-    its parent and symbol, one ``Deduper.add`` of its node form and one
-    blank row of ``edges``.  At radius r the row of every member of depth <
-    r is complete; a member of depth r knows its backtrack entry (its BFS
-    parent), set when it is found, and the edges to members of depth r - 1
-    that hits filled in from their other end; the rest of its row is -1.
+    its parent and symbol, one ``Deduper.add`` of its node form, which keeps
+    its root id and sections tuple, and one blank row of ``edges``.  At
+    radius r the row of every member of depth < r is complete; a member of
+    depth r knows its backtrack entry (its BFS parent), set when it is
+    found, and the edges to members of depth r - 1 that hits filled in from
+    their other end; the rest of its row is -1.
 
-    Each row reads its member's node form once, and folds each symbol's
-    letters onto it into ``probe``, which ``Deduper.find`` takes as its one
-    argument; a miss adds the probe itself as the new member's node form,
-    and the next lookup takes a fresh probe.  A member's form is released
-    as soon as its row is complete, so when radius r is yielded only the
-    members of depth r hold one, besides the few a lookup that shares their
-    hash has folded again (the module docstring says why the search does not
-    read the others again).
+    Each row reads its member's root, ``perms[roots[mid]]``, and sections,
+    ``elements[mid]``, once, and folds each symbol's letters onto them into
+    ``probe``, which ``Deduper.find`` takes as its one argument; a miss adds
+    the probe, whose root id and sections the index keeps, and the next
+    lookup refills the same probe.  A member's sections are released as soon
+    as its row is complete, so when radius r is yielded only the members of
+    depth r hold them, besides the few a lookup that shares their hash has
+    folded again (the module docstring says why the search does not read
+    the others again).
     """
     syms, inverse_of = _effective_symbols(genset)
     k = len(syms)
     words = [el.letters for _, el in syms]
     blank = array("i", [-1]) * k
     dedup = _BallIndex(words)
-    forms, parent, via = dedup.elements, dedup.parent, dedup.via
+    held, parent, via = dedup.elements, dedup.parent, dedup.via
+    perms, roots = dedup.perms, dedup.roots
     ball = Ball(genset, dedup, [1], array("i", blank), tuple(name for name, _ in syms))
     edges = ball.edges
     probe = _Form()
-    start = 0  # forms[start:] belong to the members of depth r
+    start = 0  # held[start:] belong to the members of depth r
     while True:
         yield ball
-        end = len(forms)
+        end = len(held)
         for mid in range(start, end):
-            form = forms[mid]
-            row, root, sections = mid * k, form.root, form.sections
+            row, root, sections = mid * k, perms[roots[mid]], held[mid]
             for s, word in enumerate(words):
                 if edges[row + s] >= 0:
                     continue  # known from its other end, never a new geodesic
@@ -342,13 +383,12 @@ def balls(genset: GeneratingSet) -> Iterator[Ball]:
                     parent.append(mid)
                     via.append(s)
                     target = dedup.add(probe)
-                    probe = _Form()
                     edges.extend(blank)
                 edges[row + s] = target
                 edges[target * k + inverse_of[s]] = mid  # the same edge, from target
-            forms[mid] = None  # its row is complete: never read again
+            held[mid] = None  # its row is complete: never read again
         start = end
-        ball.sizes.append(len(forms))
+        ball.sizes.append(len(held))
 
 
 def enumerate_ball(genset: GeneratingSet, radius: int) -> Ball:

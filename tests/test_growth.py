@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import weakref
+from array import array
 from pathlib import Path
 
 import pytest
@@ -242,10 +243,10 @@ def test_ball_search_sets_the_reference_node_forms(genset):
     index as each radius is yielded (before any is released), is the
     whole-word walk's of the member built as an element."""
     for ball in balls(genset):
-        r, members, forms = ball.radius, ball.members, ball.index.elements
+        r, members, index = ball.radius, ball.members, ball.index
         for i in range(ball.sizes[r - 1] if r else 0, ball.size):
-            assert forms[i] is not None
-            assert letters_of(forms[i]) == letters_of(reference_decompose(members[i]))
+            assert index.elements[i] is not None
+            assert letters_of(index._form(i)) == letters_of(reference_decompose(members[i]))
         if r == 10:
             break
 
@@ -434,6 +435,65 @@ def test_ball_search_holds_few_node_forms():
     assert all(f is None for f in forms[:inner])
     assert all(f is not None for f in forms[inner:])
     assert engine_stats()["decompose_cache"] < ball.size // 10
+
+
+def live_forms():
+    return sum(type(o) is growth._Form for o in gc.get_objects())
+
+
+def test_ball_index_holds_a_root_id_and_sections_per_member():
+    """A member holds a root id in an ``array('H')`` and its bare sections
+    tuple until its row is complete, then None: the index keeps no node-form
+    object per member, only its root member's, and the search's one probe
+    goes with the search."""
+    gc.collect()
+    before = live_forms()
+    ball = enumerate_ball(make_tilde(), 10)
+    index = ball.index
+    assert all(secs is None or (type(secs) is tuple and len(secs) == 7)
+               for secs in index.elements)
+    assert type(index.roots) is array and index.roots.typecode == "H"
+    assert len(index.roots) == len(index.elements) == ball.size
+    assert all(index._form(i).root is index.perms[index.roots[i]]
+               for i in range(0, ball.size, 97))
+    gc.collect()
+    assert live_forms() - before < 4
+
+
+def test_ball_index_streams_its_rebuild(monkeypatch):
+    """From signature depth 1 the S:2 search raises the depth while most
+    sections are released.  ``_forms`` yields each member's node form, the
+    whole-word walk's of the member built as an element, and holds the
+    forms of about one sphere while it walks: a parent's only until the
+    walk passes its last child.  So the live forms stay below the largest
+    sphere, 552 members; a walk that kept every parent's form would hold
+    757, one per member of depth < 10."""
+    monkeypatch.setattr(growth, "START_SIG_DEPTH", 1)
+    ball = enumerate_ball(make_S(2), 10)
+    index, members = ball.index, ball.members
+    assert index.depth > 1
+    spheres = sorted(b - a for a, b in zip(ball.sizes, ball.sizes[1:]))
+    gc.collect()
+    before, peak = live_forms(), 0
+    for i, form in enumerate(index._forms()):
+        assert letters_of(form) == letters_of(reference_decompose(members[i]))
+        if i % 32 == 0:
+            peak = max(peak, live_forms() - before)
+    assert 0 < peak < spheres[-1]
+
+
+def test_deduper_add_hashes_a_refilled_probe_afresh():
+    """A probe whose root and sections are replaced after a miss is not the
+    miss any more: ``add`` chains it under the hash of its own node key."""
+    a, b = (decompose(e) for e in make_S(1).elements()[:2])
+    probe = growth._Form()
+    probe.root, probe.sections = a.root, a.sections
+    dedup = Deduper()
+    assert dedup.find(probe) is None
+    probe.root, probe.sections = b.root, b.sections
+    assert dedup.add(probe) == 0
+    assert list(dedup._hashes) == [hash(node_key(b, dedup.depth))]
+    assert dedup.find(b) == 0 and dedup.find(a) is None
 
 
 @pytest.mark.parametrize("genset, depth", [(make_tilde(), 2), (make_S(1), 3), (make_S(2), 2)],
