@@ -2,65 +2,69 @@
 
 Every ball query reads one breadth-first search, the generator :func:`balls`,
 which grows one :class:`Ball` in place, radius by radius.  A member of a ball
-is an index: the search holds its BFS parent, the symbol it was found by,
-the id of its root permutation and, while its row is still to be expanded,
-its bare sections tuple, and builds no element and no object for it.  The
-ball's Cayley-graph rows are one flat ``array`` of edges: ``edges[m * k +
-s]`` is the member reached from member ``m`` by symbol ``s`` (of ``k``), or
--1 while unknown.  :meth:`Ball.geodesics` reads the words back from the
-parents, and :attr:`Ball.members` builds the elements along them, and
-interns them, only when a caller reads it.  Balls use the "at most n
-factors" convention by default; the "exactly n" variant (which can differ
-when a parity homomorphism exists) is :func:`ball_sizes_exact_convention`,
-an integer walk over (member, parity) states on those edges.  All
-enumeration orders are (length, lexicographic), so geodesics and exports
-are reproducible.
+is an index: the ball holds its BFS parent and the symbol it was found by,
+and builds no element and no object for it.  The ball's Cayley-graph rows
+are one flat ``array`` of edges: ``edges[m * k + s]`` is the member reached
+from member ``m`` by symbol ``s`` (of ``k``), or -1 while unknown.
+:meth:`Ball.geodesics` reads the words back from the parents, and
+:attr:`Ball.members` builds the elements along them, and interns them, only
+when a caller reads it.  Balls use the "at most n factors" convention by
+default; the "exactly n" variant (which can differ when a parity
+homomorphism exists) is :func:`ball_sizes_exact_convention`, an integer walk
+over (member, parity) states on those edges.  All enumeration orders are
+(length, lexicographic), so geodesics and exports are reproducible.
 
-A ball search folds the node form of each candidate ``m * s`` from the
-member m's (``wreath.fold_letter``, every letter of the symbol) into one
-reusable probe that holds a root and sections and nothing else, and asks the
-index about the probe; a miss stores the probe's root id and sections as
-the new member's.  A hit fills in the edge from its other end too: ``m * s =
-t`` gives t's entry for ``s^-1``, so each edge is looked up once, and a row
-skips the entries that are known already.  So once member m's row is
-complete, every edge into m is known from both ends, and no later lookup
-returns m; the search drops m's sections right after its row, and keeps
-only its root id.  The rule costs no exactness: a form read again after
-all, by a lookup that only shares its hash or by the index's rebuild at a
-new depth, is folded again along the parents.  The rebuild streams: it
-folds each released form from its parent's in index order and drops a
-parent's once the walk has passed its last child, so it holds about one
-sphere of folded forms at a time.
+The search keys each member by one exact integer.  The id of its root
+permutation sits in the low ``FIELD_BITS`` bits, and the class id of its
+section at point p (1..7) in bits ``FIELD_BITS * p`` up.  The action is
+faithful, so g = h exactly when their roots agree and ``g_p = h_p`` at every
+point, and a section class is an exact equality class: one :class:`Deduper`
+numbers the sections' words, and only those, and settles each by ``equals``.
+So equal keys mean equal elements, and no member ever needs ``node_key``,
+``equals`` or a signature-depth rise.  A candidate ``m * s`` is folded from
+member m's key by the product rule ``(gh)_p = g_p * h_{p.root(g)}``, through
+two lazily filled tables: one maps (root id, symbol) to the new root id and
+the fields that the symbol's sections multiply, with the section word each
+is multiplied by; the other maps (class, section word) to the class of the
+product.  So a fold is a few integer operations, and the section Deduper
+sees each section word once: a tilde search meets 46 words to R=16, where it
+looks up 36,909 candidates.
+
+A hit ``m * s = t`` fills in the edge from its other end too, t's entry for
+``s^-1``, so each edge is looked up once, and a row skips the entries that
+are known already.  So once member m's row is complete, every edge into m is
+known from both ends, and no later lookup returns m: the search drops m's
+key right after its row.  The member index is three flat arrays: ``keys``
+and ``next`` hold, for the members from the first one of the sphere being
+expanded on, the key (None once the row is complete) and the next member in
+its bucket, and ``heads`` the newest member of each bucket, bucketed by
+``hash((key,))``.  A bucket chains its members newest first, so a lookup
+from member m stops at the first member below m, whose row is complete.
+When the members from m on fill ``heads``, it doubles, and only they are
+chained again; each sphere's part of ``keys`` and ``next`` is dropped once
+the sphere is expanded.  So the search keeps no Python object per member but
+the keys still to be expanded.
 
 A ball search makes no cyclic garbage: whatever it drops is freed by
 reference counting.  So it leaves the cyclic collector alone, and its
 collections never free anything; a library caller that wants the CLI's speed
 disables the collector around the call itself.
-
-The :class:`Deduper` index chains its members by the hash of their node
-keys (``wreath.node_key``: root and seven child signatures) in three flat
-``array``s: each member's hash, the next member in its bucket, and the first
-member of each bucket.  A hash is never taken for equality: a hash hit is
-settled by ``equals``, and only when that says no is the member's key
-recomputed, to tell a depth rise from two keys that share a hash.  So the
-index holds no Python object per member but the sections tuples of the
-ball search's unexpanded members, and the keys themselves are neither
-stored, memoized nor interned.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
-from collections import deque
 from collections.abc import Iterator
 
 from .catalog import GeneratingSet, make_S, make_free_quadruple, make_tilde
-from .wreath import Element, decompose, equals, fold_letter, is_identity, node_key
+from .fano import Perm
+from .wreath import Element, StateBudgetExceeded, decompose, equals, is_identity, node_key
 
 START_SIG_DEPTH = 3
 REFINE_LEN = 3  # the free-monoid check's {a, b, c, d}-words reach this length
-FIRST_BUCKETS = 1024  # the dedup index's first bucket count, a power of two
+FIRST_BUCKETS = 1024  # a dedup index's first bucket count, a power of two
+FIELD_BITS = 16  # the width of a member key's root field and of each section field
 
 
 class Deduper:
@@ -73,74 +77,57 @@ class Deduper:
     ``add`` follows a miss of ``find``, so no two members share a key, and a
     deeper key still tells them apart, since it determines the shallower one.
 
-    ``_hashes[i]`` is the hash of member i's key at the current depth,
-    ``_next[i]`` the next member in i's bucket or -1, and ``_heads[b]`` the
-    first member of bucket b, which chains the members whose hash is b
-    modulo ``len(_heads)``.  The table starts at ``FIRST_BUCKETS`` buckets
-    and doubles whenever the members fill it; the members are then
-    re-chained from ``_hashes``, and no key is recomputed.
+    ``elements[i]`` is member i, ``_hashes[i]`` the hash of its key at the
+    current depth, ``_next[i]`` the next member in i's bucket or -1, and
+    ``_heads[b]`` the first member of bucket b, which chains the members
+    whose hash is b modulo ``len(_heads)``.  The table starts at
+    ``FIRST_BUCKETS`` buckets and doubles whenever the members fill it; the
+    members are then re-chained from ``_hashes``, and no key is recomputed.
 
     ``find`` walks one chain.  A member of the candidate's hash is asked
     ``equals`` first; when that says no, an equal recomputed key raises the
     depth, and a different one is another key of the same hash, so the walk
-    goes on.  ``add`` stores a member through ``_store(e)``, ``find`` reads
-    member i's node form through ``_form(i)``, and ``_rebuild`` every
-    member's through ``_forms()``; here the three append to and read
-    ``elements``, whose node forms ``node_key`` and ``equals`` build on
-    demand, and the ball search's :class:`_BallIndex` overrides just these
-    three.  ``find`` leaves its last miss's root, sections and hash for
-    ``add``, so a key is computed once per candidate, even when the
-    candidate is one probe object refilled for each lookup.
+    goes on.  The ball search classes its sections' words with one of
+    these.
     """
 
     def __init__(self):
         self.depth = START_SIG_DEPTH
-        self.elements: list = []
+        self.elements: list[Element] = []
         self._hashes = array("q")
         self._next = array("i")
         self._heads = array("i", [-1]) * FIRST_BUCKETS
-        self._missed: tuple | None = None  # (root, sections, hash) of the last miss
 
-    def find(self, e) -> int | None:
+    def find(self, e: Element) -> int | None:
         """The index of the member equal to ``e``, or None.
 
         ``e`` is the one argument, and stays so: the benchmark's tracer
-        (``bench/tracer.py``) wraps this method as ``find(self, e)``.  It is
-        an element, whose node form ``node_key`` builds when its ``sections``
-        is None, or any object whose ``root`` and ``sections`` hold a node
-        form, as the ball search's probe does; only those two are read.
+        (``bench/tracer.py``) wraps this method as ``find(self, e)``.
         """
         while True:
             key = node_key(e, self.depth)
             h = hash(key)
-            hashes, nxt = self._hashes, self._next
+            elements, hashes, nxt = self.elements, self._hashes, self._next
             i = self._heads[h & (len(self._heads) - 1)]
             while i >= 0:
                 if hashes[i] == h:
-                    form = self._form(i)
-                    if equals(e, form):
+                    if equals(e, elements[i]):
                         return i
-                    if node_key(form, self.depth) == key:
+                    if node_key(elements[i], self.depth) == key:
                         break
                 i = nxt[i]
             else:
-                self._missed = (e.root, e.sections, h)
                 return None
             # key-equal but exactly distinct: refine and retry
             self.depth += 1
             self._rebuild()
 
-    def add(self, e) -> int:
+    def add(self, e: Element) -> int:
         """Store e, which a ``find`` has just missed, and chain it under the
-        hash of its node key: the miss's hash if e still holds the root and
-        sections objects that ``find`` missed, else one computed afresh."""
-        missed, self._missed = self._missed, None
-        if missed is not None and missed[0] is e.root and missed[1] is e.sections:
-            h = missed[2]
-        else:
-            h = hash(node_key(e, self.depth))
-        idx = len(self._hashes)
-        self._store(e)
+        hash of its node key."""
+        h = hash(node_key(e, self.depth))
+        idx = len(self.elements)
+        self.elements.append(e)
         self._hashes.append(h)
         heads = self._heads
         if idx + 1 < len(heads):
@@ -162,113 +149,80 @@ class Deduper:
 
     def _rebuild(self) -> None:
         """Rehash every member at the new depth."""
-        self._missed = None
         hashes, depth = self._hashes, self.depth
-        for i, form in enumerate(self._forms()):
-            hashes[i] = hash(node_key(form, depth))
+        for i, e in enumerate(self.elements):
+            hashes[i] = hash(node_key(e, depth))
         self._rechain(len(self._heads))
 
-    def _store(self, e) -> None:
-        """Keep member e, for ``add``: here the element itself."""
-        self.elements.append(e)
 
-    def _form(self, i: int):
-        """Member i's node form, for ``find``: the element itself, whose node
-        form ``node_key`` and ``equals`` build when it holds none."""
-        return self.elements[i]
+class _Search:
+    """The key arithmetic and member index of one ball search.
 
-    def _forms(self):
-        """Every member's node form in index order, for ``_rebuild``."""
-        return self.elements
-
-
-class _Form:
-    """A node form, a root and sections, with no element built for it: the
-    ball search's probe, refilled for each lookup, and a member's form as
-    its index reads it."""
-
-    __slots__ = ("root", "sections")
-
-    def __repr__(self):
-        return f"<node form with root {self.root.cycles()}>"
-
-
-class _BallIndex(Deduper):
-    """The ball search's index, which starts with the root member, the
-    identity.  Member i is its BFS parent ``parent[i]`` (-1 for the root),
-    its symbol ``via[i]``, its root permutation ``perms[roots[i]]`` and its
-    sections tuple ``elements[i]``; no element and no object is built for
-    it.  ``roots`` is an ``array('H')`` of ids into ``perms``, the roots met
-    so far (at most 7! of them), and a root id is never released.  The
-    search sets a member's sections to None once the member's row is
-    complete.
-
-    ``_form`` builds a :class:`_Form` for the member that ``find`` reads.  It
-    folds released sections again from the nearest ancestor that still holds
-    them, along the symbols' ``words``, and keeps the sections it folds, as
-    ``decompose`` keeps an element's node form.  ``_forms`` yields every
-    member's form in index order, folding each released one from its
-    parent's; parents never decrease in index order, so it keeps a parent's
-    form only until the walk passes the parent's last child.
+    ``perms[r]`` is the root of id r, and ``forms[s]`` the node form (root,
+    sections) of symbol s.  ``classes`` numbers the section words,
+    ``class_of`` memoizes each word's class, and ``factors`` are the
+    nontrivial sections of the symbols.  For symbol s from the root of id
+    r, ``after[r * k + s]`` is the id of the root it leads to, and
+    ``moves[r * k + s]`` None or the pairs ``(shift, j)`` of the fields it
+    multiplies by ``factors[j]``, one tuple shared by the moves that touch
+    the same fields.  ``products[c][j]`` is None or the class of class c
+    times ``factors[j]``.  ``keys``, ``next`` and ``heads`` are the member
+    index of the module docstring, and ``keys[i - base]`` is member i's.  A
+    root or class id that outgrows its field raises
+    :class:`~wilson.wreath.StateBudgetExceeded`.
     """
 
-    def __init__(self, words: list[tuple]):
-        super().__init__()
-        self.parent = array("i", [-1])
-        self.via = array("B", [0])
-        self.roots = array("H")
-        self.perms: list = []
-        self._root_ids: dict = {}
-        self._words = words  # each search symbol's letters
-        identity = decompose(Element())
-        self._root = _Form()  # kept here, since the search releases it
-        self._root.root, self._root.sections = identity.root, identity.sections
-        self.add(self._root)
+    def __init__(self, symbols: list[Element]):
+        self.bits = FIELD_BITS
+        self.forms = [(el.root, el.sections) for el in map(decompose, symbols)]
+        self.perms, self.root_ids = [Perm.identity()], {Perm.identity(): 0}
+        self.after, self.moves, self._shared = [None] * len(symbols), [None] * len(symbols), {}
+        self.factors = list(dict.fromkeys(w for _, sections in self.forms for w in sections
+                                          if w is not Element()))
+        self.classes, self.class_of, self.products = Deduper(), {}, []
+        self.class_id(Element())
+        self.keys, self.base = [0], 0  # the identity: every field 0
+        self.next = array("i", [-1])
+        self.heads = array("i", [-1]) * FIRST_BUCKETS
+        self.heads[hash((0,)) & (FIRST_BUCKETS - 1)] = 0
 
-    def _store(self, e) -> None:
-        rid = self._root_ids.get(e.root)
-        if rid is None:
-            rid = self._root_ids[e.root] = len(self.perms)
-            self.perms.append(e.root)
-        self.roots.append(rid)
-        self.elements.append(e.sections)
+    def _check(self, n: int, what: str) -> int:
+        """n, a new id, which must fit in a field of the keys."""
+        if n >> self.bits:
+            raise StateBudgetExceeded(
+                f"ball search: {n + 1} {what} outgrow the {self.bits}-bit fields of its keys")
+        return n
 
-    def _child(self, node, i: int) -> _Form:
-        """Member i's node form, folded from ``node``, its parent's."""
-        form, root, secs = _Form(), node.root, node.sections
-        for letter in self._words[self.via[i]]:
-            root, secs = fold_letter(root, secs, letter)
-        form.root, form.sections = root, secs
-        return form
+    def class_id(self, w: Element) -> int:
+        """The class of the section word w, numbered anew if no class has it."""
+        c = self.class_of.get(w)
+        if c is None:
+            c = self.classes.find(w)
+            if c is None:
+                c = self._check(self.classes.add(w), "section classes")
+                self.products.append([None] * len(self.factors))
+            self.class_of[w] = c
+        return c
 
-    def _form(self, i: int) -> _Form:
-        secs = self.elements[i]
-        if secs is None:  # released: fold it again from its parent's
-            if not i:
-                return self._root
-            form = self._child(self._form(self.parent[i]), i)
-            self.elements[i] = form.sections
-            return form
-        form = _Form()
-        form.root, form.sections = self.perms[self.roots[i]], secs
-        return form
-
-    def _forms(self) -> Iterator[_Form]:
-        parent = self.parent
-        last = parent[-1]  # no member after this one is a parent
-        window: deque = deque()  # the forms of members lo, lo + 1, ..., up to last
-        lo = 0
-        for i, secs in enumerate(self.elements):
-            while lo < parent[i]:  # no later member's parent precedes parent[i]
-                window.popleft()
-                lo += 1
-            if i and secs is None:
-                form = self._child(window[0], i)
-            else:  # held, or the root member
-                form = self._form(i)
-            if i <= last:
-                window.append(form)
-            yield form
+    def step(self, rid: int, s: int) -> tuple:
+        """Fill in ``after`` and ``moves`` at ``rid * k + s``, and return the
+        move: the symbol's section at point q multiplies the field of point
+        ``q.root^-1``."""
+        root, (last, sections) = self.perms[rid], self.forms[s]
+        back = root.inverse().images
+        fields = tuple([(self.bits * back[q], self.factors.index(w))
+                        for q, w in enumerate(sections) if w in self.factors])
+        root = root * last
+        new = self.root_ids.get(root)
+        if new is None:
+            new = self.root_ids[root] = self._check(len(self.perms), "root permutations")
+            self.perms.append(root)
+            self.after += [None] * len(self.forms)
+            self.moves += [None] * len(self.forms)
+        i = rid * len(self.forms) + s
+        self.after[i] = new
+        move = self.moves[i] = self._shared.setdefault(fields, fields)
+        return move
 
 
 def _effective_symbols(genset: GeneratingSet):
@@ -286,20 +240,24 @@ def _effective_symbols(genset: GeneratingSet):
 
 
 class Ball:
-    """A Cayley ball: ``index`` is the search's :class:`_BallIndex`, whose
-    ``parent`` and ``via`` arrays are its search tree, ``sizes`` the
-    cumulative ball sizes by radius 0..``radius``, and ``edges[m * k + s]``
-    the member reached from member m by symbol s, or -1."""
+    """A Cayley ball: ``parent`` and ``via`` are its search tree, each
+    member's BFS parent (-1 for the root) and the symbol it was found by,
+    ``sizes`` the cumulative ball sizes by radius 0..``radius``, and
+    ``edges[m * k + s]`` the member reached from member m by symbol s, or
+    -1.  ``search`` is the search's :class:`_Search`, which holds the keys
+    of the outer sphere's members, and goes with the ball."""
 
-    __slots__ = ("genset", "index", "sizes", "edges", "symbol_names")
+    __slots__ = ("genset", "parent", "via", "sizes", "edges", "symbol_names", "search")
 
-    def __init__(self, genset: GeneratingSet, index: _BallIndex,
-                 sizes: list[int], edges: array, symbol_names: tuple[str, ...]):
+    def __init__(self, genset: GeneratingSet, search: _Search, edges: array,
+                 symbol_names: tuple[str, ...]):
         self.genset = genset
-        self.index = index
-        self.sizes = sizes
+        self.parent = array("i", [-1])
+        self.via = array("B", [0])
+        self.sizes = [1]
         self.edges = edges
         self.symbol_names = symbol_names
+        self.search = search
 
     @property
     def radius(self) -> int:
@@ -307,11 +265,11 @@ class Ball:
 
     @property
     def size(self) -> int:
-        return len(self.index.parent)
+        return len(self.parent)
 
     def _tree(self):
         """``(parent, symbol)`` of each member but the root, in order."""
-        return itertools.islice(zip(self.index.parent, self.index.via), 1, None)
+        return itertools.islice(zip(self.parent, self.via), 1, None)
 
     def geodesics(self) -> list[tuple[int, ...]]:
         """Each member's least shortest word: its BFS parent's word and the
@@ -338,57 +296,74 @@ def balls(genset: GeneratingSet) -> Iterator[Ball]:
     The same :class:`Ball` is yielded each time and grows in place when the
     generator resumes.  Members are found in (length, lexicographic word)
     order, so each geodesic is the least shortest word.  A new member costs
-    its parent and symbol, one ``Deduper.add`` of its node form, which keeps
-    its root id and sections tuple, and one blank row of ``edges``.  At
-    radius r the row of every member of depth < r is complete; a member of
-    depth r knows its backtrack entry (its BFS parent), set when it is
-    found, and the edges to members of depth r - 1 that hits filled in from
-    their other end; the rest of its row is -1.
-
-    Each row reads its member's root, ``perms[roots[mid]]``, and sections,
-    ``elements[mid]``, once, and folds each symbol's letters onto them into
-    ``probe``, which ``Deduper.find`` takes as its one argument; a miss adds
-    the probe, whose root id and sections the index keeps, and the next
-    lookup refills the same probe.  A member's sections are released as soon
-    as its row is complete, so when radius r is yielded only the members of
-    depth r hold them, besides the few a lookup that shares their hash has
-    folded again (the module docstring says why the search does not read
-    the others again).
+    its parent and symbol, its key and index entry while its row is still
+    to be expanded, and one blank row of ``edges``.  At radius r the row of
+    every member of depth < r is complete; a member of depth r knows its
+    backtrack entry (its BFS parent), set when it is found, and the edges to
+    members of depth r - 1 that hits filled in from their other end; the
+    rest of its row is -1.  When radius r is yielded, the index holds the
+    keys of the members of depth r and no other (the module docstring says
+    why the search does not read the others again).
     """
     syms, inverse_of = _effective_symbols(genset)
     k = len(syms)
-    words = [el.letters for _, el in syms]
     blank = array("i", [-1]) * k
-    dedup = _BallIndex(words)
-    held, parent, via = dedup.elements, dedup.parent, dedup.via
-    perms, roots = dedup.perms, dedup.roots
-    ball = Ball(genset, dedup, [1], array("i", blank), tuple(name for name, _ in syms))
-    edges = ball.edges
-    probe = _Form()
-    start = 0  # held[start:] belong to the members of depth r
+    search = _Search([el for _, el in syms])
+    ball = Ball(genset, search, array("i", blank), tuple(name for name, _ in syms))
+    parent, via, edges, keys, nxt = ball.parent, ball.via, ball.edges, search.keys, search.next
+    after, moves, products = search.after, search.moves, search.products
+    mask = (1 << search.bits) - 1
+    reps, factors = search.classes.elements, search.factors
+    start = 0  # the first member of depth r, and the first one keys holds
     while True:
         yield ball
-        end = len(held)
+        end = len(parent)
+        heads = search.heads
+        buckets = len(heads) - 1
         for mid in range(start, end):
-            row, root, sections = mid * k, perms[roots[mid]], held[mid]
-            for s, word in enumerate(words):
+            row, key = mid * k, keys[mid - start]
+            rid = key & mask
+            at, key = rid * k, key - rid  # key: its sections' fields only
+            for s in range(k):
                 if edges[row + s] >= 0:
                     continue  # known from its other end, never a new geodesic
-                r, secs = root, sections
-                for letter in word:
-                    r, secs = fold_letter(r, secs, letter)
-                probe.root, probe.sections = r, secs
-                target = dedup.find(probe)
-                if target is None:
+                move = moves[at + s]
+                if move is None:
+                    move = search.step(rid, s)
+                cand = key + after[at + s]
+                for shift, j in move:
+                    c = (cand >> shift) & mask
+                    pc = products[c][j]
+                    if pc is None:
+                        pc = products[c][j] = search.class_id(reps[c] * factors[j])
+                    cand += (pc - c) << shift
+                bucket = hash((cand,)) & buckets
+                target = heads[bucket]
+                while target >= mid:  # below mid, every row is complete
+                    if keys[target - start] == cand:
+                        break
+                    target = nxt[target - start]
+                else:
+                    target = len(parent)
                     parent.append(mid)
                     via.append(s)
-                    target = dedup.add(probe)
                     edges.extend(blank)
+                    keys.append(cand)
+                    nxt.append(heads[bucket])
+                    heads[bucket] = target
+                    if target - mid > buckets:  # the members from mid on fill the table
+                        heads = search.heads = array("i", [-1]) * (2 * len(heads))
+                        buckets = len(heads) - 1
+                        for i in range(mid, target + 1):
+                            b = hash((keys[i - start],)) & buckets
+                            nxt[i - start] = heads[b]
+                            heads[b] = i
                 edges[row + s] = target
                 edges[target * k + inverse_of[s]] = mid  # the same edge, from target
-            held[mid] = None  # its row is complete: never read again
-        start = end
-        ball.sizes.append(len(held))
+            keys[mid - start] = None  # its row is complete: never read again
+        del keys[:end - start], nxt[:end - start]
+        search.base = start = end
+        ball.sizes.append(len(parent))
 
 
 def enumerate_ball(genset: GeneratingSet, radius: int) -> Ball:

@@ -14,27 +14,24 @@ two identity-hash lookups and no key tuple); the empty word sits under
 ``None``.  A word is normalized one letter at a time as it is pushed onto
 the trie, and a product pushes the letters of its right factor onto its left
 factor, so it is normalized only at the seam where they meet.
-``decompose`` fills in an element's node form
-``<g_1,...,g_7> a`` (root permutation plus seven suffix sections) in slots of
-the element itself, building it from the node form of the element's prefix
-by the product rule, one letter at a time through ``fold_letter``; the ball
-search calls that fold too, and holds its members as node forms with no
-element built for them.  A node form is a cache: a caller may drop it by
-setting ``sections`` to None, and ``decompose`` builds it again when it is
-next read.  An atom letter updates only the sections its atom has
-nontrivial (one or two of seven for the catalog's atoms, which are bounded
-automata), read from the atom's ``nontrivial`` table, and the atom keeps
-the root it leads to after each root it has met.  ``node_key`` reads an
+``decompose`` fills in an element's node form ``<g_1,...,g_7> a`` (root
+permutation plus seven suffix sections) in slots of the element itself,
+building it from the node form of the element's prefix by the product rule,
+one letter at a time through ``fold_letter``.  A node form is a cache: a
+caller may drop it by setting ``sections`` to None, and ``decompose`` builds
+it again when it is next read.  An atom letter updates only the sections its
+atom has nontrivial (one or two of seven for the catalog's atoms, which are
+bounded automata), read from the atom's ``nontrivial`` table, and the atom
+keeps the root it leads to after each root it has met.  ``node_key`` reads an
 element's seven child signatures from the memo of the depth below in one
 C-level ``map``, and through ``signature`` only when one is missing there.
-``signature`` is that key memoized and interned; it serves the sections,
-which are few and whose signatures many keys share, while the ball search
-keeps a member's key only as its hash, and recomputes the key to confirm a
-hit.  ``equals`` is the one exact equality test:
-``g = h`` iff their roots agree and ``g_p = h_p`` at every point p, so it
-closes the pair ``(g, h)`` under taking sections.  The closure terminates
-because atom sections are again atoms or permutations, so section words never
-grow and only finitely many pairs of them are reachable.
+``signature`` is that key memoized and interned.  The ball search keys its
+members by their roots and section classes, not by ``node_key``: only the
+section words it classes are signed.  ``equals`` is the one exact equality
+test: ``g = h`` iff their roots agree and ``g_p = h_p`` at every point p, so
+it closes the pair ``(g, h)`` under taking sections.  The closure terminates
+because atom sections are again atoms or permutations, so section words
+never grow and only finitely many pairs of them are reachable.
 """
 
 from __future__ import annotations
@@ -242,10 +239,7 @@ def decompose(e: Element) -> Element:
 
     The fold starts from the node form of ``e.prefix`` when that has one and
     takes in the last letter, else it starts from the trivial node form and
-    takes in every letter.  The ball search folds its candidates' and
-    members' node forms itself, with no element built for them, so
-    ``decompose`` builds the node forms of sections, of the identity and of
-    callers' words.
+    takes in every letter.
     """
     if e.sections is not None:
         return e
@@ -319,16 +313,11 @@ def node_key(e: Element, depth: int) -> tuple:
     """The key of ``e`` at ``depth`` >= 1: ``(e.root, *child signatures at
     depth - 1)``.  Two elements have equal keys iff they have equal
     signatures at ``depth``.  The key itself is neither memoized nor
-    interned: the ball search's index keeps only its hash.
+    interned: a ``Deduper`` keeps only its hash.
 
     The child signatures are read from the memo of the depth below in one
     C-level ``map``; only when one is missing there are the seven read
-    through ``signature``, which computes the missing ones.  ``e`` needs
-    only ``root`` and ``sections`` once they are set: the ball search asks
-    the key of a candidate ``m * s`` as the node form it folded from the
-    member m's, before any element exists.  That node form shares all but
-    one or two sections with m's, and the sections of a ball search are
-    few, so the memo nearly always has them.
+    through ``signature``, which computes the missing ones.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from wilson import cli, wreath
+from wilson import cli, growth, wreath
 from wilson.cli import main
 
 
@@ -217,6 +217,15 @@ def test_state_budget_flag(capsys, monkeypatch):
     code, _, err = run(capsys, "verify-all")
     assert code == 3
     assert "resource error" in err
+
+
+def test_outgrown_key_field_flag(capsys, monkeypatch):
+    """A ball search whose root ids outgrow the fields of its member keys
+    ends with exit 3 and a message, as an outgrown closure does."""
+    monkeypatch.setattr(growth, "FIELD_BITS", 2)
+    code, out, err = run(capsys, "growth", "--genset", "tilde", "--radius", "6")
+    assert code == 3 and out == ""
+    assert "resource error: ball search: 5 root permutations outgrow" in err
 
 
 def test_output_file(tmp_path, capsys):

@@ -30,12 +30,12 @@ from wilson.growth import (
     sizes_csv_rows,
 )
 from wilson.catalog import make_abar
-from wilson.wreath import (_SIG_INTERN, Element, clear_caches, decompose,
-                           engine_stats, equals, is_identity, node_key, perm_element,
-                           signature)
+from wilson.wreath import (_SIG_INTERN, Element, StateBudgetExceeded, clear_caches,
+                           decompose, engine_stats, equals, is_identity, node_key,
+                           perm_element, signature)
 
 from partition_oracle import least_levels, pairwise_ball_sizes, word_partition
-from test_wreath import letters_of, reference_decompose, truncated_bar
+from test_wreath import reference_decompose, truncated_bar
 
 # The plain group A on x, y, z: every word normalizes to one permutation, so
 # Element equality is group equality, and the group is finite with relators
@@ -93,8 +93,9 @@ def test_deduper_refines_a_shared_signature():
 
 def test_deduper_clash_path_is_exact(monkeypatch):
     """With every key hashed alike, every member shares one chain, so each
-    lookup meets every member's hash: the searches, the free-monoid check and
-    the depth rise come out the same."""
+    lookup meets every member's hash, in a Deduper and in a ball search's
+    member index: the searches, the free-monoid check and the depth rise
+    come out the same."""
     gensets = (make_tilde(), make_S(1), make_S(2))
     unpatched = [ball_sizes(genset, 10) for genset in gensets]
     monkeypatch.setattr(growth, "hash", lambda key: 0, raising=False)
@@ -112,12 +113,14 @@ def test_deduper_clash_path_is_exact(monkeypatch):
 
 
 def test_deduper_long_chains_across_doublings(monkeypatch):
-    """With sixteen hash values and a first table of sixteen buckets, the
-    chains are long and the table doubles several times: the searches and
-    the free-monoid check come out the same as with the full hash."""
+    """With sixteen hash values and first tables of sixteen buckets, the
+    chains are long and the tables double several times: a search's member
+    index, whenever the members still to be expanded fill it, and the
+    free-monoid check's Deduper, whenever its members do.  The searches and
+    the check come out the same as with the full hash."""
     gensets = (make_tilde(), make_S(1))
     unpatched = [enumerate_ball(genset, 8) for genset in gensets]
-    rechains = []
+    rechains, heads = [], []
     rechain = Deduper._rechain
 
     def counted_rechain(self, buckets):
@@ -128,23 +131,34 @@ def test_deduper_long_chains_across_doublings(monkeypatch):
     monkeypatch.setattr(growth, "FIRST_BUCKETS", 16)
     monkeypatch.setattr(Deduper, "_rechain", counted_rechain)
     for genset, ball in zip(gensets, unpatched):
-        patched = enumerate_ball(genset, 8)
+        for patched in balls(genset):
+            heads.append(len(patched.search.heads))
+            if patched.radius == 8:
+                break
         assert patched.sizes == ball.sizes and patched.edges == ball.edges
-    # 436 and 763 members: five doublings, then six
-    assert rechains == [32, 64, 128, 256, 512] + [32, 64, 128, 256, 512, 1024]
+    # the member index's buckets as each radius is yielded: tilde holds at
+    # most 256 keys at once, and S:1 at most 512; S:1 also classes more
+    # than 64 section words
+    assert heads == ([16, 16, 16, 16, 32, 64, 64, 128, 256]
+                     + [16, 16, 16, 16, 32, 64, 128, 256, 512])
+    assert rechains == [32, 64, 128]
+    rechains.clear()
     assert free_monoid_check(6)["all_ok"]
+    # 127 {a, d}-words and 61 classes of {a, b, c, d}-words
+    assert rechains == [32, 64, 128, 32, 64]
 
 
 def test_deduper_arrays_after_a_search():
-    """Each member's hash is its node form's key at the final depth, each
-    member sits once in the chain of its bucket, and the table is at most
-    twice the members (or the first size)."""
-    ball = enumerate_ball(make_tilde(), 12)
-    dedup, n = ball.index, ball.size
-    assert len(dedup.elements) == len(dedup._hashes) == len(dedup._next) == n
-    assert len(dedup._heads) <= max(1024, 2 * n)
-    for i, form in enumerate(dedup._forms()):
-        assert dedup._hashes[i] == hash(node_key(form, dedup.depth))
+    """In the Deduper that classes a search's section words, each member's
+    hash is its node key at the final depth, each member sits once in the
+    chain of its bucket, and the table is at most twice the members (or the
+    first size)."""
+    dedup = enumerate_ball(make_S(1), 14).search.classes
+    n = len(dedup.elements)
+    assert n == len(dedup._hashes) == len(dedup._next) > growth.FIRST_BUCKETS
+    assert len(dedup._heads) <= max(growth.FIRST_BUCKETS, 2 * n)
+    for i, e in enumerate(dedup.elements):
+        assert dedup._hashes[i] == hash(node_key(e, dedup.depth))
     mask = len(dedup._heads) - 1
     chained = chains(dedup)
     assert sorted(i for chain in chained.values() for i in chain) == list(range(n))
@@ -153,36 +167,32 @@ def test_deduper_arrays_after_a_search():
 
 
 def test_ball_search_keys_each_candidate_once(monkeypatch):
-    """``add`` reuses the key of the miss that ``find`` just made, so it
-    computes a key only for the root, which no lookup precedes; the root's
-    node form is the identity element's."""
-    in_add, calls = [], []
-    key, add = growth.node_key, Deduper.add
+    """Each lookup folds its candidate's key and hashes it once, and fills in
+    two entries that were unknown, its own and the one from its other end.
+    So with a table that never doubles, the member keys hashed are the
+    identity's, when the search starts, and then half the known entries, one
+    per candidate; the keys hashed are the members' own, and equal keys
+    hash the same member."""
+    hashed = []
 
-    def counted_key(e, depth):
-        if in_add:
-            calls.append(e)
-        return key(e, depth)
+    def counted(obj):
+        if type(obj) is tuple and len(obj) == 1:  # a member key
+            hashed.append(obj[0])
+        return hash(obj)
 
-    def counted_add(self, e):
-        in_add.append(e)
-        try:
-            return add(self, e)
-        finally:
-            in_add.pop()
-
-    monkeypatch.setattr(growth, "node_key", counted_key)
-    monkeypatch.setattr(Deduper, "add", counted_add)
+    monkeypatch.setattr(growth, "hash", counted, raising=False)
+    monkeypatch.setattr(growth, "FIRST_BUCKETS", 4096)
     ball = enumerate_ball(make_tilde(), 10)
-    identity = decompose(Element())
     assert ball.size == 1309
-    assert [(e.root, e.sections) for e in calls] == [(identity.root, identity.sections)]
+    assert hashed[0] == 0 and 2 * (len(hashed) - 1) == sum(t >= 0 for t in ball.edges)
+    assert len(set(hashed)) == ball.size
 
 
 def test_deduper_add_recognises_the_miss_by_its_whole_node_form():
     """A permutation letter changes only the root, so ``a * y`` shares the
     sections tuple of ``a``: ``add`` must not take it for the miss of ``a``
-    and chain it under a's hash."""
+    and chain it under a's hash.  It hashes the node key of the element it
+    is given."""
     a = decompose(make_S(1).elements()[0])
     g = decompose(a * perm_element(Y))
     assert g.sections is a.sections and g.root is not a.root
@@ -224,8 +234,8 @@ print(ball.size, wreath.engine_stats()["elements"] - before)
 
 def test_ball_search_interns_only_new_members():
     """In a fresh interpreter, a tilde search interns no element for its
-    members, only a few section words: a member is its node form, parent
-    and symbol, and a candidate is never built as a word (the search
+    members, only a few section words: a member is its key, parent and
+    symbol, and a candidate is never built as a word (the search
     interned one element per new member, 1,305 here, before members were
     ids)."""
     src = str(Path(wilson.__file__).resolve().parents[1])
@@ -239,16 +249,27 @@ def test_ball_search_interns_only_new_members():
 @pytest.mark.parametrize("genset", [make_tilde(), make_S(1), make_S(2), make_S(3)],
                          ids=["tilde", "S:1", "S:2", "S:3"])
 def test_ball_search_sets_the_reference_node_forms(genset):
-    """The node form the search folds for each new member, read from the
-    index as each radius is yielded (before any is released), is the
-    whole-word walk's of the member built as an element."""
+    """The key the search folds for each new member, read as each radius is
+    yielded (before any is released), encodes the whole-word walk's node
+    form of the member built as an element: its root, and at each point a
+    class whose representative ``equals`` the section there."""
     for ball in balls(genset):
-        r, members, index = ball.radius, ball.members, ball.index
-        for i in range(ball.sizes[r - 1] if r else 0, ball.size):
-            assert index.elements[i] is not None
-            assert letters_of(index._form(i)) == letters_of(reference_decompose(members[i]))
-        if r == 10:
+        members, search = ball.members, ball.search
+        assert search.base == (ball.sizes[-2] if ball.radius else 0)
+        for i, key in enumerate(search.keys, search.base):
+            root, sections = key_form(search, key)
+            reference = reference_decompose(members[i])
+            assert root is reference.root
+            assert all(map(equals, sections, reference.sections))
+        if ball.radius == 10:
             break
+
+
+def key_form(search, key):
+    """The root and the section representatives that a member key holds."""
+    bits, reps = search.bits, search.classes.elements
+    mask = (1 << bits) - 1
+    return search.perms[key & mask], tuple(reps[key >> bits * p & mask] for p in range(1, 8))
 
 
 def test_ball_radius_zero_and_one():
@@ -391,30 +412,20 @@ def test_geodesics_are_least_words(genset):
 @pytest.mark.parametrize("genset", [make_tilde(), make_S(1), make_S(2)],
                          ids=["tilde", "S:1", "S:2"])
 def test_ball_search_releases_node_forms_it_reads_no_more(genset):
-    """From empty caches: when the search yields radius r, the index holds
-    the node form of every member of depth r and of no member of depth < r,
-    since each is released once its own row is complete and no lookup reads
-    it again.  A released form read after all is folded again from the
-    nearest ancestor that holds one, the ancestors' on the way are kept,
-    and each equals the whole-word walk's of the member built as an
-    element.  The search from empty caches gives the same ball."""
+    """From empty caches: when the search yields radius r, it holds the key
+    of every member of depth r and of no member of depth < r, since each key
+    is released once its member's row is complete and no lookup reads it
+    again; the index's ``next`` holds the same members.  The search from
+    empty caches gives the same ball."""
     radius = 9
     clear_caches()
     for ball in balls(genset):
-        r, forms = ball.radius, ball.index.elements
-        inner = ball.sizes[r - 1] if r else 0
-        assert all(f is None for f in forms[:inner])
-        assert all(f is not None for f in forms[inner:])
-        if r == radius:
+        search, inner = ball.search, ball.sizes[-2] if ball.radius else 0
+        assert search.base == inner
+        assert len(search.keys) == len(search.next) == ball.size - inner
+        assert None not in search.keys
+        if ball.radius == radius:
             break
-    index, members = ball.index, ball.members
-    path = [inner - 1]  # a member of depth radius - 1, up to the root
-    while path[-1]:
-        path.append(index.parent[path[-1]])
-    index._form(inner - 1)
-    assert [i for i in range(inner) if forms[i] is not None] == sorted(path[:-1])
-    for i in range(inner):
-        assert letters_of(index._form(i)) == letters_of(reference_decompose(members[i]))
     sizes, edges = list(ball.sizes), ball.edges.tobytes()
     clear_caches()
     again = enumerate_ball(genset, radius)
@@ -422,90 +433,58 @@ def test_ball_search_releases_node_forms_it_reads_no_more(genset):
 
 
 def test_ball_search_holds_few_node_forms():
-    """At the end of an S:1 search, which raises the signature depth once,
-    the index holds the node forms of the outer sphere, which are still to
-    be expanded, and no other: ``Deduper._rebuild`` folds each released
-    form from its parent's to key it, and keeps none of them.  The engine's
-    own node forms are the sections', far fewer than the members (3,001 of
+    """At the end of an S:1 search, the search holds the keys of the outer
+    sphere, which are still to be expanded, and no other.  The engine's own
+    node forms are the section words', far fewer than the members (1,525 of
     47,230; 26,473 when members were elements)."""
     clear_caches()
     ball = enumerate_ball(make_S(1), 14)
-    forms, inner = ball.index.elements, ball.sizes[-2]
-    assert ball.index.depth == 4
-    assert all(f is None for f in forms[:inner])
-    assert all(f is not None for f in forms[inner:])
+    search = ball.search
+    assert search.base == ball.sizes[-2] and len(search.keys) == ball.size - search.base
     assert engine_stats()["decompose_cache"] < ball.size // 10
 
 
-def live_forms():
-    return sum(type(o) is growth._Form for o in gc.get_objects())
-
-
 def test_ball_index_holds_a_root_id_and_sections_per_member():
-    """A member holds a root id in an ``array('H')`` and its bare sections
-    tuple until its row is complete, then None: the index keeps no node-form
-    object per member, only its root member's, and the search's one probe
-    goes with the search."""
+    """A member's key is one int, its root id and its seven section
+    classes, each in a field of ``FIELD_BITS`` bits; the index holds the
+    keys of the members still to be expanded in a list, and their chains in
+    ``array('i')``s.  So a search makes no object per member that the
+    collector tracks: a second tilde search of 1,309 members, which meets
+    the section words of the first one, leaves 35 such objects, once two
+    collections have untracked the tuples of its tables that hold only
+    ints."""
+    enumerate_ball(make_tilde(), 10)
     gc.collect()
-    before = live_forms()
+    before = len(gc.get_objects())
     ball = enumerate_ball(make_tilde(), 10)
-    index = ball.index
-    assert all(secs is None or (type(secs) is tuple and len(secs) == 7)
-               for secs in index.elements)
-    assert type(index.roots) is array and index.roots.typecode == "H"
-    assert len(index.roots) == len(index.elements) == ball.size
-    assert all(index._form(i).root is index.perms[index.roots[i]]
-               for i in range(0, ball.size, 97))
     gc.collect()
-    assert live_forms() - before < 4
-
-
-def test_ball_index_streams_its_rebuild(monkeypatch):
-    """From signature depth 1 the S:2 search raises the depth while most
-    sections are released.  ``_forms`` yields each member's node form, the
-    whole-word walk's of the member built as an element, and holds the
-    forms of about one sphere while it walks: a parent's only until the
-    walk passes its last child.  So the live forms stay below the largest
-    sphere, 552 members; a walk that kept every parent's form would hold
-    757, one per member of depth < 10."""
-    monkeypatch.setattr(growth, "START_SIG_DEPTH", 1)
-    ball = enumerate_ball(make_S(2), 10)
-    index, members = ball.index, ball.members
-    assert index.depth > 1
-    spheres = sorted(b - a for a, b in zip(ball.sizes, ball.sizes[1:]))
     gc.collect()
-    before, peak = live_forms(), 0
-    for i, form in enumerate(index._forms()):
-        assert letters_of(form) == letters_of(reference_decompose(members[i]))
-        if i % 32 == 0:
-            peak = max(peak, live_forms() - before)
-    assert 0 < peak < spheres[-1]
+    assert len(gc.get_objects()) - before < ball.size // 10
+    search = ball.search
+    mask = (1 << search.bits) - 1
+    assert search.bits == growth.FIELD_BITS and search.keys
+    for key in search.keys:
+        assert type(key) is int and 0 <= key < 1 << 8 * search.bits
+        assert key & mask < len(search.perms)
+        assert all(key >> search.bits * p & mask < len(search.classes.elements)
+                   for p in range(1, 8))
+    for table in (search.next, search.heads):
+        assert type(table) is array and table.typecode == "i"
 
 
-def test_deduper_add_hashes_a_refilled_probe_afresh():
-    """A probe whose root and sections are replaced after a miss is not the
-    miss any more: ``add`` chains it under the hash of its own node key."""
-    a, b = (decompose(e) for e in make_S(1).elements()[:2])
-    probe = growth._Form()
-    probe.root, probe.sections = a.root, a.sections
-    dedup = Deduper()
-    assert dedup.find(probe) is None
-    probe.root, probe.sections = b.root, b.sections
-    assert dedup.add(probe) == 0
-    assert list(dedup._hashes) == [hash(node_key(b, dedup.depth))]
-    assert dedup.find(b) == 0 and dedup.find(a) is None
-
-
-@pytest.mark.parametrize("genset, depth", [(make_tilde(), 2), (make_S(1), 3), (make_S(2), 2)],
+@pytest.mark.parametrize("genset, depth", [(make_tilde(), 1), (make_S(1), 3), (make_S(2), 1)],
                          ids=["tilde", "S:1", "S:2"])
 def test_ball_search_rekeys_released_forms(genset, depth, monkeypatch):
-    """From signature depth 1 the searches raise the depth while most node
-    forms are released, so ``_rebuild`` keys each released member by a form
-    folded from its parent's: the sizes and edges are the unpatched ones."""
+    """From signature depth 1 the section Deduper of the S:1 search raises
+    its depth, and so keys its section words again, while most members are
+    released; the tilde and S:2 sections to R=8 have distinct roots, so
+    their depth stays.  A member key holds class ids, which a depth rise
+    leaves as they are, so nothing released is keyed again, and the sizes
+    and edges are the unpatched ones."""
     ball = enumerate_ball(genset, 8)
     monkeypatch.setattr(growth, "START_SIG_DEPTH", 1)
     patched = enumerate_ball(genset, 8)
-    assert patched.index.depth == depth
+    assert patched.search.classes.depth == depth
     assert patched.sizes == ball.sizes and patched.edges == ball.edges
 
 
@@ -541,19 +520,20 @@ print(held, tracemalloc.get_traced_memory()[0] - base)
 
 
 def test_ball_frees_its_search_with_it():
-    """The ball holds the search's index, its node forms and arrays, and
-    the engine keeps almost nothing for it: in a fresh interpreter with the
-    collector off, dropping the tilde R=14 ball frees more than nine tenths
-    of what the search left allocated (about 4% stays; 82% stayed when each
-    member was an interned element).  An R=12 search runs first, under
-    tracing too, so that the atoms' root tables and the interpreter's store
-    of freed tuples for reuse are already full when the count starts."""
+    """The ball holds the search's keys, tables and arrays, and the engine
+    keeps almost nothing for it: in a fresh interpreter with the collector
+    off, dropping the tilde R=14 ball frees more than 99% of what the search
+    left allocated (a few hundred bytes of about 530 KiB stay; 4% stayed
+    when members held sections tuples, 82% when each member was an interned
+    element).  An R=12 search runs first, under tracing too, so that the
+    atoms' root tables and the interpreter's store of freed tuples for reuse
+    are already full when the count starts."""
     src = str(Path(wilson.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", FREED],
                           capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     held, kept = map(int, proc.stdout.split())
-    assert kept < held / 10
+    assert kept < held / 100
 
 
 @pytest.mark.parametrize("genset", [make_tilde(), make_S(1), make_S(2), PERMS, ROTS],
@@ -562,26 +542,88 @@ def test_ball_search_finds_no_member_whose_row_is_complete(genset, monkeypatch):
     """A hit ``m * s = t`` fills in t's entry for ``s^-1`` too, so every edge
     out of a member whose row is complete is known from both ends, and no
     later lookup returns that member: each member a hit returns still has
-    an unknown entry in its row.  The spy goes in after the first radius is
-    yielded, so it sees the lookups only because the search calls ``find``
-    through its index each time."""
+    an unknown entry in its row.  Keys are exact, so a lookup returns member
+    t exactly when it hashes t's key; with a table that never doubles, the
+    search hashes a member key only to look it up, after the identity's."""
     k = len(search_symbols(genset))
+    members, hits, seen = [], [], {}  # seen: each key looked up -> its member
+
+    def spied(obj):
+        if members and type(obj) is tuple and len(obj) == 1:
+            ball = members[0]
+            target = seen.setdefault(obj[0], ball.size)  # a miss adds the next member
+            if target < ball.size:
+                hits.append(target)
+                assert -1 in ball.edges[target * k:(target + 1) * k]
+        return hash(obj)
+
+    monkeypatch.setattr(growth, "hash", spied, raising=False)
+    monkeypatch.setattr(growth, "FIRST_BUCKETS", 1 << 14)
     search = balls(genset)
-    ball = next(search)
-    find, hits = Deduper.find, []
-
-    def spied(self, e):
-        target = find(self, e)
-        if target is not None:
-            hits.append(target)
-            assert -1 in ball.edges[target * k:(target + 1) * k]
-        return target
-
-    monkeypatch.setattr(Deduper, "find", spied)
+    members.append(next(search))
+    seen[0] = 0  # the identity, member 0
     for ball in search:
         if ball.radius == 9:
             break
+    assert sorted(seen.values()) == list(range(ball.size))
     assert hits
+
+
+@pytest.mark.parametrize("genset, radius", [(make_tilde(), 12), (make_S(1), 10), (make_S(2), 12)],
+                         ids=["tilde", "S:1", "S:2"])
+def test_section_classes_are_exact(genset, radius):
+    """Member keys are exact because section classes are: every section
+    word the search classed ``equals`` its class's representative, and no
+    two representatives are ``equals``."""
+    search = enumerate_ball(genset, radius).search
+    reps = search.classes.elements
+    assert len(search.class_of) >= len(reps) > 10
+    for word, c in search.class_of.items():
+        assert equals(word, reps[c])
+    for g, h in itertools.combinations(reps, 2):
+        assert not equals(g, h)
+
+
+def test_section_deduper_finds_each_section_word_once(monkeypatch):
+    """The search asks its ``Deduper`` once per distinct section word, not
+    once per lookup: 46 words for the 36,909 lookups of tilde R=16."""
+    words = []
+    find = Deduper.find
+
+    def spied(self, e):
+        words.append(e)
+        return find(self, e)
+
+    monkeypatch.setattr(Deduper, "find", spied)
+    ball = enumerate_ball(make_tilde(), 16)
+    assert ball.size == 33277
+    assert len(words) == len(set(words)) == len(ball.search.class_of) == 46
+
+
+@pytest.mark.parametrize("genset", [make_tilde(), make_S(1)], ids=["tilde", "S:1"])
+def test_key_fields_of_any_width_give_the_same_ball(genset, monkeypatch):
+    """The field width is read once per search: with 9-bit fields, which
+    hold the 168 roots and the few hundred section classes of these balls,
+    the search finds the same ball."""
+    ball = enumerate_ball(genset, 9)
+    monkeypatch.setattr(growth, "FIELD_BITS", 9)
+    narrow = enumerate_ball(genset, 9)
+    assert narrow.search.bits == 9 and narrow.search.keys[0] >> 9 * 8 == 0
+    assert narrow.sizes == ball.sizes and narrow.edges == ball.edges
+
+
+def test_an_outgrown_key_field_raises(monkeypatch):
+    """A root id or class id that outgrows its field never collides with
+    another silently: the search raises ``StateBudgetExceeded``."""
+    monkeypatch.setattr(growth, "FIELD_BITS", 2)
+    with pytest.raises(StateBudgetExceeded, match="5 root permutations outgrow the 2-bit"):
+        enumerate_ball(make_tilde(), 4)
+    x, y, z = make_tilde().elements()
+    search = growth._Search([])
+    for c, word in enumerate((x, y, z), 1):
+        assert search.class_id(word) == c  # the identity's class is 0
+    with pytest.raises(StateBudgetExceeded, match="5 section classes outgrow the 2-bit"):
+        search.class_id(x * y)
 
 
 @pytest.mark.parametrize("genset", [make_tilde(), make_S(1), make_S(2)],
